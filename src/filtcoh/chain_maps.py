@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 
 from .complexes import ComplexFormatError, FilteredComplex, Violation
-from .gf2 import BitMatrix, span_solve
+from .gf2 import BitMatrix, column_map, coset_solver
 from .spectral import _states_up_to
 
 __all__ = [
@@ -48,13 +48,7 @@ class FilteredMap:
         return cols
 
     def apply(self, v: int) -> int:
-        cols = self.matrix_columns()
-        out = 0
-        while v:
-            i = (v & -v).bit_length() - 1
-            v &= v - 1
-            out ^= cols[i]
-        return out
+        return column_map(self.matrix_columns())(v)
 
 
 def identity_map(c: FilteredComplex) -> FilteredMap:
@@ -142,20 +136,12 @@ def verify_cochain_map(f: FilteredMap) -> list[Violation]:
         return out
     fcols = f.matrix_columns()
     dsrc = f.source.delta_columns()
-    dtgt = f.target.delta_columns()
-
-    def tgt_apply(v, cols):
-        acc = 0
-        while v:
-            i = (v & -v).bit_length() - 1
-            v &= v - 1
-            acc ^= cols[i]
-        return acc
-
+    apply_f = column_map(fcols)
+    apply_dtgt = column_map(f.target.delta_columns())
     bad_grades = []
     for i, g in enumerate(f.source.generators):
-        lhs = tgt_apply(dsrc[i], fcols)
-        rhs = tgt_apply(fcols[i], dtgt)
+        lhs = apply_f(dsrc[i])
+        rhs = apply_dtgt(fcols[i])
         if lhs != rhs:
             bad_grades.append((g.maslov, g.id))
     for n, gid in sorted(bad_grades):
@@ -188,26 +174,12 @@ def verify_homotopy(f: FilteredMap, g: FilteredMap, h: FilteredMap) -> list[Viol
         return out
     fc, gc, hc = f.matrix_columns(), g.matrix_columns(), h.matrix_columns()
     dsrc = f.source.delta_columns()
-    dtgt = f.target.delta_columns()
-
-    def chain(v, first, second):
-        acc = 0
-        mid = 0
-        while v:
-            i = (v & -v).bit_length() - 1
-            v &= v - 1
-            mid ^= first[i]
-        while mid:
-            i = (mid & -mid).bit_length() - 1
-            mid &= mid - 1
-            acc ^= second[i]
-        return acc
-
+    apply_h = column_map(hc)
+    apply_dtgt = column_map(f.target.delta_columns())
     failing = []
     for i, gen in enumerate(f.source.generators):
-        e = 1 << i
         lhs = fc[i] ^ gc[i]
-        rhs = chain(e, dsrc, hc) ^ chain(e, hc, dtgt)
+        rhs = apply_h(dsrc[i]) ^ apply_dtgt(hc[i])
         if lhs != rhs:
             failing.append((gen.maslov, gen.id))
     if failing:
@@ -240,6 +212,7 @@ def induced_page_map(f: FilteredMap, k: int) -> PageMapReport:
     src_eng, src_states = _states_up_to(f.source, k)
     tgt_eng, tgt_states = _states_up_to(f.target, k)
     src_state, tgt_state = src_states[k], tgt_states[k]
+    apply_f = column_map(f.matrix_columns())
     matrices = {}
     iso = True
     for n in sorted(set(src_eng.grades) | set(tgt_eng.grades)):
@@ -252,14 +225,13 @@ def induced_page_map(f: FilteredMap, k: int) -> PageMapReport:
             matrices[(n, j)] = BitMatrix.zeros(len(tgt_reps), len(src_reps))
             iso = False
             continue
-        denom = tgt_state.denom[n]
-        gens = list(tgt_reps) + list(denom.basis)
+        coords = coset_solver(tgt_reps, tgt_state.denom[n])
         cols = []
         for v in src_reps:
-            sol = span_solve(gens, f.apply(v))
+            sol = coords.solve(apply_f(v))
             if sol is None:
                 raise AssertionError("image of a page class escaped the target cell")
-            cols.append(sol & ((1 << len(tgt_reps)) - 1))
+            cols.append(sol)
         mat = BitMatrix.from_columns(len(tgt_reps), cols)
         matrices[(n, j)] = mat
         if mat.rows != mat.cols or mat.rank() != mat.rows:
@@ -272,16 +244,11 @@ def compose(second: FilteredMap, first: FilteredMap) -> FilteredMap:
     if first.target != second.source:
         raise ValueError("composition mismatch: first.target != second.source")
     cols_first = first.matrix_columns()
-    cols_second = second.matrix_columns()
+    apply_second = column_map(second.matrix_columns())
     entries = []
     tgt_ids = [g.id for g in second.target.generators]
     for i, g in enumerate(first.source.generators):
-        v = cols_first[i]
-        acc = 0
-        while v:
-            t = (v & -v).bit_length() - 1
-            v &= v - 1
-            acc ^= cols_second[t]
+        acc = apply_second(cols_first[i])
         while acc:
             t = (acc & -acc).bit_length() - 1
             acc &= acc - 1

@@ -82,7 +82,18 @@ def _load(path: str) -> FilteredComplex:
 
 
 def _emit(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    # Exact results (binomial sums) can exceed Python's int-to-str digit
+    # limit; lift it for the dump only, so that parsing input keeps its guard.
+    # Interpreters older than 3.10.7 have no limit and no setter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _require_valid(c: FilteredComplex) -> None:

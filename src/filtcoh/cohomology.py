@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import FilteredComplex
-from .gf2 import BitMatrix, Subspace, subquotient
+from .gf2 import Subspace, column_map, image, preimage, subquotient
 
 __all__ = [
     "GradedDims",
@@ -60,81 +60,48 @@ def _graded_dims(c: FilteredComplex, table: dict[int, tuple[int, ...]]) -> Grade
     return GradedDims(tuple(dims), tuple(reps))
 
 
+def _mask(c: FilteredComplex, keep) -> int:
+    """Bit mask of the generators whose grade satisfies ``keep``."""
+    mask = 0
+    for i, g in enumerate(c.generators):
+        if keep(g.maslov):
+            mask |= 1 << i
+    return mask
+
+
 def integer_graded_cohomology(c: FilteredComplex) -> GradedDims:
     """Cohomology of the shift-0 differential, grade by grade."""
     n_amb = len(c.generators)
-    cols = c.shift0_columns()
-    members = c.grade_members()
-
-    def grade_space(n: int) -> Subspace:
-        return Subspace.from_vectors(n_amb, [1 << i for i in members.get(n, [])])
-
-    def apply(v: int) -> int:
-        out = 0
-        while v:
-            i = (v & -v).bit_length() - 1
-            v &= v - 1
-            out ^= cols[i]
-        return out
-
+    apply = column_map(c.shift0_columns())
+    zero = Subspace.zero(n_amb)
     table: dict[int, tuple[int, ...]] = {}
     for n in c.occupied_grades():
-        dom = grade_space(n)
-        ker_vecs = [v for v in _kernel_in(dom, apply)]
-        img_vecs = [apply(1 << i) for i in members.get(n - 1, [])]
-        ker = Subspace.from_vectors(n_amb, ker_vecs)
-        img = Subspace.from_vectors(n_amb, img_vecs)
+        ker = preimage(apply, Subspace.coordinate(n_amb, _mask(c, lambda g: g == n)), zero)
+        img = image(apply, Subspace.coordinate(n_amb, _mask(c, lambda g: g == n - 1)), n_amb)
         _, reps = subquotient(ker, img)
         table[n] = reps
     return _graded_dims(c, table)
 
 
-def _kernel_in(dom: Subspace, apply) -> tuple[int, ...]:
-    """Basis of {v in dom : apply(v) = 0}."""
-    if dom.dim == 0:
-        return ()
-    cols = [apply(b) for b in dom.basis]
-    m = BitMatrix.from_columns(dom.ambient_dim, cols)
-    out = []
-    for cmb in m.kernel_basis().basis:
-        x = 0
-        cc = cmb
-        while cc:
-            i = (cc & -cc).bit_length() - 1
-            cc &= cc - 1
-            x ^= dom.basis[i]
-        out.append(x)
-    return tuple(out)
-
-
-def _class_space(c: FilteredComplex, j: int) -> Subspace:
+def _class_cocycles(c: FilteredComplex):
+    """Per occupied residue class j: (j, cocycles of class j, coboundaries
+    from class j - 1) of the total coboundary."""
+    n_amb = len(c.generators)
     sig = c.sigma_maslov
-    vecs = [1 << i for i, g in enumerate(c.generators) if g.maslov % sig == j]
-    return Subspace.from_vectors(len(c.generators), vecs)
+    apply = column_map(c.delta_columns())
+    zero = Subspace.zero(n_amb)
+    for j in range(sig):
+        dom = Subspace.coordinate(n_amb, _mask(c, lambda g: g % sig == j))
+        if dom.dim == 0:
+            continue
+        prev = Subspace.coordinate(n_amb, _mask(c, lambda g: g % sig == (j - 1) % sig))
+        yield j, preimage(apply, dom, zero), image(apply, prev, n_amb)
 
 
 def zsigma_cohomology(c: FilteredComplex) -> GradedDims:
     """Cohomology of the total coboundary, graded by residue class mod Sigma."""
-    n_amb = len(c.generators)
-    cols = c.delta_columns()
-    sig = c.sigma_maslov
-
-    def apply(v: int) -> int:
-        out = 0
-        while v:
-            i = (v & -v).bit_length() - 1
-            v &= v - 1
-            out ^= cols[i]
-        return out
-
     table: dict[int, tuple[int, ...]] = {}
-    for j in range(sig):
-        dom = _class_space(c, j)
-        if dom.dim == 0:
-            continue
-        ker = Subspace.from_vectors(n_amb, _kernel_in(dom, apply))
-        prev = _class_space(c, (j - 1) % sig)
-        img = Subspace.from_vectors(n_amb, [apply(b) for b in prev.basis])
+    for j, ker, img in _class_cocycles(c):
         _, reps = subquotient(ker, img)
         table[j] = reps
     return _graded_dims(c, table)
@@ -167,34 +134,13 @@ class HFFiltration:
 
 def hf_filtration(c: FilteredComplex) -> HFFiltration:
     """dim of im(H(F_n C_j) -> HF^j) for every occupied level n of class j."""
-    n_amb = len(c.generators)
-    cols = c.delta_columns()
     sig = c.sigma_maslov
-
-    def apply(v: int) -> int:
-        out = 0
-        while v:
-            i = (v & -v).bit_length() - 1
-            v &= v - 1
-            out ^= cols[i]
-        return out
-
     chains = []
-    for j in range(sig):
-        dom = _class_space(c, j)
-        if dom.dim == 0:
-            continue
-        ker = Subspace.from_vectors(n_amb, _kernel_in(dom, apply))
-        prev = _class_space(c, (j - 1) % sig)
-        img = Subspace.from_vectors(n_amb, [apply(b) for b in prev.basis])
+    for j, ker, img in _class_cocycles(c):
         levels = sorted({g.maslov for g in c.generators if g.maslov % sig == j})
         chain = []
         for n in levels:
-            fn = Subspace.from_vectors(
-                n_amb,
-                [1 << i for i, g in enumerate(c.generators) if g.maslov % sig == j and g.maslov >= n],
-            )
-            ker_n = ker.intersection(fn)
+            ker_n = ker.within(_mask(c, lambda g: g % sig == j and g >= n))
             img_n = img.intersection(ker_n)
             chain.append((n, ker_n.dim - img_n.dim))
         chains.append((j, tuple(chain)))

@@ -24,9 +24,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Union
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, column_map
 
 RationalLike = Union[Fraction, int, str]
 
@@ -76,6 +77,12 @@ class FilteredComplex:
         return self._index()[gid]
 
     def _index(self) -> dict[str, int]:
+        """Generator id -> storage position (shared; do not mutate)."""
+        return self._positions
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        # computed once per complex; not a field, so equality and hashing ignore it
         return {g.id: i for i, g in enumerate(self.generators)}
 
     def grade(self, gid: str) -> int:
@@ -338,14 +345,10 @@ def validate(c: FilteredComplex) -> list[Violation]:
 
     if edges_ok:
         cols = c.delta_columns()
+        apply_delta = column_map(cols)
         n = len(c.generators)
         for i in range(n):
-            acc = 0
-            v = cols[i]
-            while v:
-                j = (v & -v).bit_length() - 1
-                v &= v - 1
-                acc ^= cols[j]
+            acc = apply_delta(cols[i])
             if acc:
                 targets = tuple(ids[j] for j in range(n) if (acc >> j) & 1)
                 out.append(
@@ -378,6 +381,7 @@ def associated_graded(c: FilteredComplex) -> list[tuple[int, GradedPiece, BitMat
     """
     members = c.grade_members()
     ids = [g.id for g in c.generators]
+    index = c._index()
     out = []
     for n in c.occupied_grades():
         src = members[n]
@@ -385,7 +389,6 @@ def associated_graded(c: FilteredComplex) -> list[tuple[int, GradedPiece, BitMat
         dst_pos = {gi: k for k, gi in enumerate(dst)}
         src_pos = {gi: k for k, gi in enumerate(src)}
         entries = []
-        index = c._index()
         for a, b in c.edges:
             ia, ib = index[a], index[b]
             if ia in src_pos and ib in dst_pos:

@@ -3,7 +3,8 @@
 Vectors are Python ints used as bitsets: bit ``j`` is coordinate ``j``.
 All echelon forms pick the lowest-index available column as pivot, so every
 basis produced here is the canonical reduced row echelon basis of its span
-and is reproducible bit-for-bit across runs.
+and is reproducible bit-for-bit across runs. Every elimination runs on one
+incremental builder, ``Echelon``.
 """
 
 from __future__ import annotations
@@ -16,27 +17,127 @@ def _lsb(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Canonical reduced row echelon basis of the span of ``vectors``."""
-    rows: dict[int, int] = {}  # pivot -> row
-    for v in vectors:
+def column_map(columns: Sequence[int]) -> Callable[[int], int]:
+    """The linear map whose column ``i`` is ``columns[i]``, as a function on
+    bit vectors: it XORs the columns selected by the set bits of its input."""
+
+    def apply(v: int) -> int:
+        out = 0
         while v:
-            p = _lsb(v)
-            if p in rows:
-                v ^= rows[p]
-            else:
-                break
+            low = v & -v
+            out ^= columns[low.bit_length() - 1]
+            v ^= low
+        return out
+
+    return apply
+
+
+class Echelon:
+    """Mutable canonical RREF of a growing span, frozen into a ``Subspace``.
+
+    ``rows`` maps each pivot bit (the lowest set bit of its row) to the row,
+    no row has a 1 in another row's pivot column, and ``mask`` is the OR of
+    the pivot bits. Reducing a vector then costs one XOR per pivot column it
+    hits, and an insertion clears its new pivot from the other rows, so the
+    rows stay the canonical basis of their span after every insertion. The
+    rows are scanned for that only when ``support``, a superset of their
+    set bits, meets the new pivot.
+
+    A tracking builder (``track=True``, or ``tags`` in ``of``) carries a tag
+    per row and XORs tags along with rows. ``relate(v, t)`` inserts v tagged
+    t; every row's tag is then the XOR of the tags of the inserted vectors
+    that sum to it. With tags ``1 << i`` a tag is a combination mask; with
+    other tags it is the image of the row under the linear map v_i -> t_i.
+    """
+
+    __slots__ = ("ambient_dim", "rows", "tags", "mask", "support")
+
+    def __init__(self, ambient_dim: int, track: bool = False):
+        self.ambient_dim = ambient_dim
+        self.rows: dict[int, int] = {}
+        self.tags: Optional[dict[int, int]] = {} if track else None
+        self.mask = 0
+        self.support = 0
+
+    @classmethod
+    def of(cls, sub: "Subspace", tags: Optional[Sequence[int]] = None) -> "Echelon":
+        """A builder holding ``sub``, with one tag per basis vector when tracking."""
+        ech = cls(sub.ambient_dim)
+        ech.rows = {b & -b: b for b in sub.basis}
+        ech.mask = sub.pivot_mask
+        ech.support = sub.support
+        if tags is not None:
+            ech.tags = {b & -b: t for b, t in zip(sub.basis, tags)}
+        return ech
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: int) -> bool:
+        """Insert v into a builder that does not track; True when the span grew."""
+        rows = self.rows
+        x = v & self.mask
+        while x:
+            low = x & -x
+            v ^= rows[low]
+            x ^= low
         if not v:
-            continue
-        p = _lsb(v)
-        for q in rows:
-            if q > p and (v >> q) & 1:
-                v ^= rows[q]
-        for q, w in rows.items():
-            if (w >> p) & 1:
-                rows[q] = w ^ v
-        rows[p] = v
-    return tuple(rows[p] for p in sorted(rows))
+            return False
+        low = v & -v
+        if self.support & low:
+            for p, w in rows.items():
+                if w & low:
+                    rows[p] = w ^ v
+        rows[low] = v
+        self.mask |= low
+        self.support |= v
+        return True
+
+    def relate(self, v: int, tag: int) -> Optional[int]:
+        """Insert v tagged ``tag`` into a tracking builder and return None; when
+        v already lies in the span, insert nothing and return the relation's
+        tag: ``tag`` XOR the tag of the rows summing to v."""
+        rows, tags = self.rows, self.tags
+        x = v & self.mask
+        while x:
+            low = x & -x
+            v ^= rows[low]
+            tag ^= tags[low]
+            x ^= low
+        if not v:
+            return tag
+        low = v & -v
+        if self.support & low:
+            for p, w in rows.items():
+                if w & low:
+                    rows[p] = w ^ v
+                    tags[p] ^= tag
+        rows[low] = v
+        tags[low] = tag
+        self.mask |= low
+        self.support |= v
+        return None
+
+    def solve(self, v: int) -> Optional[int]:
+        """Tag of the rows summing to v in a tracking builder, or None when v
+        lies outside the span."""
+        rows, tags = self.rows, self.tags
+        tag = 0
+        x = v & self.mask
+        while x:
+            low = x & -x
+            v ^= rows[low]
+            tag ^= tags[low]
+            x ^= low
+        return None if v else tag
+
+    def basis(self) -> tuple[int, ...]:
+        rows = self.rows
+        return tuple(rows[p] for p in sorted(rows))
+
+    def freeze(self) -> "Subspace":
+        return Subspace(self.ambient_dim, self.basis())
 
 
 class BitMatrix:
@@ -163,23 +264,21 @@ class BitMatrix:
         return not any(self._rows)
 
     def rank(self) -> int:
-        return len(_rref(self._rows))
+        ech = Echelon(self.cols)
+        for r in self._rows:
+            ech.add(r)
+        return ech.dim
 
     def kernel_basis(self) -> "Subspace":
-        """Canonical basis of the right kernel {v : M v = 0}."""
-        rref_rows = _rref(self._rows)
-        pivots = [_lsb(r) for r in rref_rows]
-        pivot_set = set(pivots)
-        vecs = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            v = 1 << f
-            for r in rref_rows:
-                if (r >> f) & 1:
-                    v |= 1 << _lsb(r)
-            vecs.append(v)
-        return Subspace.from_vectors(self.cols, vecs)
+        """Canonical basis of the right kernel {v : M v = 0}: the relations
+        among the columns, found by inserting column j tagged ``1 << j``."""
+        ech = Echelon(self.rows, track=True)
+        relations = []
+        for j, col in enumerate(self.transpose()._rows):
+            rel = ech.relate(col, 1 << j)
+            if rel is not None:
+                relations.append(rel)
+        return Subspace.from_vectors(self.cols, relations)
 
     def __repr__(self):
         return f"BitMatrix({self.rows}x{self.cols}, {len(self.entries())} ones)"
@@ -198,33 +297,43 @@ class Subspace:
 
     Invariants: basis vectors nonzero, pivots (lowest set bits) strictly
     increasing, and no vector has a 1 in another vector's pivot column.
+    They are checked on every construction, in one pass per vector against
+    ``pivot_mask``, the OR of the pivot bits; ``support`` is the OR of the
+    basis vectors.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivot_mask", "support")
 
     def __init__(self, ambient_dim: int, basis: tuple[int, ...]):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        last_pivot = -1
-        pivots = []
+        basis = tuple(basis)
+        last = 0
+        mask = 0
+        support = 0
         for v in basis:
             if v == 0 or v >> ambient_dim:
                 raise ValueError("basis vector zero or out of bounds")
-            p = _lsb(v)
-            if p <= last_pivot:
+            low = v & -v
+            if low <= last:
                 raise ValueError("pivots not strictly increasing")
-            last_pivot = p
-            pivots.append(p)
+            last = low
+            mask |= low
+            support |= v
         for v in basis:
-            for p, w in zip(pivots, basis):
-                if v is not w and (v >> p) & 1:
-                    raise ValueError("basis not fully reduced")
+            if v & mask != v & -v:
+                raise ValueError("basis not fully reduced")
         self.ambient_dim = ambient_dim
-        self.basis = tuple(basis)
+        self.basis = basis
+        self.pivot_mask = mask
+        self.support = support
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[int]) -> "Subspace":
-        return cls(ambient_dim, _rref(vectors))
+        ech = Echelon(ambient_dim)
+        for v in vectors:
+            ech.add(v)
+        return ech.freeze()
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -233,6 +342,16 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, tuple(1 << i for i in range(ambient_dim)))
+
+    @classmethod
+    def coordinate(cls, ambient_dim: int, mask: int) -> "Subspace":
+        """The span of the unit vectors at the set bits of ``mask``."""
+        basis = []
+        while mask:
+            low = mask & -mask
+            basis.append(low)
+            mask ^= low
+        return cls(ambient_dim, tuple(basis))
 
     @property
     def dim(self) -> int:
@@ -244,9 +363,15 @@ class Subspace:
         The result has a 0 in every pivot column of the basis, and
         ``reduce(u) == reduce(w)`` exactly when ``u ^ w`` lies in the subspace.
         """
-        for b in self.basis:
-            if (v >> _lsb(b)) & 1:
-                v ^= b
+        x = v & self.pivot_mask
+        if x:
+            for b in self.basis:
+                low = b & -b
+                if x & low:
+                    v ^= b
+                    x ^= low
+                    if not x:
+                        break
         return v
 
     def contains(self, v: int) -> bool:
@@ -258,29 +383,37 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        ech = Echelon.of(big)
+        for b in small.basis:
+            ech.add(b)
+        return ech.freeze()
 
     def add_vector(self, v: int) -> "Subspace":
-        return Subspace.from_vectors(self.ambient_dim, self.basis + (v,))
+        ech = Echelon.of(self)
+        ech.add(v)
+        return ech.freeze()
 
     def intersection(self, other: "Subspace") -> "Subspace":
+        """Elements of ``self`` tag themselves and those of ``other`` tag 0, so
+        every relation found while inserting ``other`` tags a common element."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        cols = self.basis + other.basis
-        m = BitMatrix.from_columns(self.ambient_dim, cols)
-        vecs = []
-        for c in m.kernel_basis().basis:
-            x = 0
-            cc = c
-            while cc:
-                i = _lsb(cc)
-                cc &= cc - 1
-                if i < len(self.basis):
-                    x ^= self.basis[i]
-            vecs.append(x)
-        return Subspace.from_vectors(self.ambient_dim, vecs)
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        ech = Echelon.of(big, tags=big.basis)
+        common = []
+        for b in small.basis:
+            rel = ech.relate(b, 0)
+            if rel is not None:
+                common.append(rel)
+        return Subspace.from_vectors(self.ambient_dim, common)
+
+    def within(self, mask: int) -> "Subspace":
+        """Intersection with the coordinate subspace on the set bits of ``mask``."""
+        outside = ~mask
+        return preimage(lambda x: x & outside, self, Subspace.zero(self.ambient_dim))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -299,30 +432,14 @@ class Subspace:
 def span_solve(generators: Sequence[int], v: int) -> Optional[int]:
     """Coefficient bitmask c with XOR_{i in c} generators[i] = v, or None.
 
-    Deterministic: reduces against generators in order, eliminating with the
-    earliest generator available for each pivot.
+    Deterministic: a generator in the span of the earlier ones is skipped,
+    so c is the unique combination of the generators independent of their
+    predecessors.
     """
-    rows: dict[int, tuple[int, int]] = {}  # pivot -> (vector, combo mask)
+    ech = Echelon(max((g.bit_length() for g in generators), default=0), track=True)
     for i, g in enumerate(generators):
-        combo = 1 << i
-        while g:
-            p = _lsb(g)
-            if p in rows:
-                w, c = rows[p]
-                g ^= w
-                combo ^= c
-            else:
-                rows[p] = (g, combo)
-                break
-    combo = 0
-    while v:
-        p = _lsb(v)
-        if p not in rows:
-            return None
-        w, c = rows[p]
-        v ^= w
-        combo ^= c
-    return combo
+        ech.relate(g, 1 << i)
+    return ech.solve(v)
 
 
 def combine(generators: Sequence[int], combo: int) -> int:
@@ -335,16 +452,31 @@ def combine(generators: Sequence[int], combo: int) -> int:
     return x
 
 
+def coset_solver(reps: Sequence[int], denom: Subspace) -> Echelon:
+    """Tracking builder of span(reps) + denom whose ``solve(v)`` is the bitmask
+    of the reps summing to v modulo denom; reps must be independent modulo
+    denom."""
+    ech = Echelon.of(denom, tags=(0,) * denom.dim)
+    for i, v in enumerate(reps):
+        ech.relate(v, 1 << i)
+    return ech
+
+
 def preimage(apply_fn: Callable[[int], int], a: "Subspace", b: "Subspace") -> "Subspace":
-    """{x in A : f(x) in B} for a linear f given by ``apply_fn``."""
+    """{x in A : f(x) in B} for a linear f given by ``apply_fn``.
+
+    B's basis tags 0 and each f(x) for x in A's basis tags x, so every
+    relation found tags an element of A that f maps into B.
+    """
     if a.dim == 0:
         return a
-    cols = [b.reduce(apply_fn(v)) for v in a.basis]
-    m = BitMatrix.from_columns(b.ambient_dim, cols)
-    vecs = []
-    for c in m.kernel_basis().basis:
-        vecs.append(combine(a.basis, c))
-    return Subspace.from_vectors(a.ambient_dim, vecs)
+    ech = Echelon.of(b, tags=(0,) * b.dim)
+    kernel = []
+    for x in a.basis:
+        rel = ech.relate(apply_fn(x), x)
+        if rel is not None:
+            kernel.append(rel)
+    return Subspace.from_vectors(a.ambient_dim, kernel)
 
 
 def image(apply_fn: Callable[[int], int], a: "Subspace", target_dim: int) -> "Subspace":
@@ -360,13 +492,9 @@ def subquotient(a: Subspace, b: Subspace) -> tuple[int, tuple[int, ...]]:
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    cur = a.intersection(b)
-    reps = []
-    for v in a.basis:
-        if not cur.contains(v):
-            reps.append(v)
-            cur = cur.add_vector(v)
-    return len(reps), tuple(reps)
+    cur = Echelon.of(a.intersection(b))
+    reps = tuple(v for v in a.basis if cur.add(v))
+    return len(reps), reps
 
 
 def subquotient_dim(a: Subspace, b: Subspace) -> int:

@@ -4,7 +4,9 @@ monotonicity constants from disk class data, window lifts, and the
 action/index compatibility check.
 
 This is the only module that touches floating point; everything it hands to
-the rest of the engine is an exact integer or rational.
+the rest of the engine is an exact integer or rational. It is also the only
+one that needs numpy, which is imported inside the functions that use it so
+that the other verbs start without it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .complexes import ComplexFormatError, as_fraction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FrameError",
@@ -55,6 +58,8 @@ class LagrangianPath:
 
     @classmethod
     def from_samples(cls, m: int, samples: Sequence, closed: bool) -> "LagrangianPath":
+        import numpy as np
+
         if m < 1:
             raise FrameError("dimension must be >= 1")
         arrs = tuple(np.asarray(s, dtype=float) for s in samples)
@@ -72,6 +77,8 @@ class LagrangianPath:
         return a[: self.m, :] + 1j * a[self.m :, :]
 
     def check_frames(self) -> None:
+        import numpy as np
+
         for k, a in enumerate(self.samples):
             x, y = a[: self.m, :], a[self.m :, :]
             gram = x.T @ x + y.T @ y
@@ -90,6 +97,8 @@ class LagrangianPath:
 
     def check_sampling(self) -> None:
         """Consecutive subspaces must subtend principal angles < pi/4."""
+        import numpy as np
+
         for a, b in self.steps():
             fa, fb = self.samples[a], self.samples[b]
             sv = np.linalg.svd(fa.T @ fb, compute_uv=False)
@@ -106,6 +115,8 @@ def maslov_loop_index(path: LagrangianPath) -> int:
     """Winding number of det^2 of the unitary frame along a closed loop."""
     if not path.closed:
         raise FrameError("loop index needs a closed path")
+    import numpy as np
+
     path.check_sampling()
     total = 0.0
     values = [complex(np.linalg.det(path.unitary(k)) ** 2) for k in range(len(path.samples))]
@@ -121,6 +132,8 @@ def maslov_loop_index(path: LagrangianPath) -> int:
 def product_path(p1: LagrangianPath, p2: LagrangianPath) -> LagrangianPath:
     """Block-diagonal product loop in R^{2(m1+m2)}; the shorter factor is
     index-resampled (a reparametrization, which cannot change the index)."""
+    import numpy as np
+
     n = max(len(p1.samples), len(p2.samples))
 
     def pick(p: LagrangianPath, k: int) -> np.ndarray:
@@ -241,6 +254,8 @@ def unitary_subgroup_loop(
     turn counts w; its det^2 winding is exactly 2 * sum(turns)."""
     if len(turns) != m:
         raise ValueError("need one integer turn per dimension")
+    import numpy as np
+
     if frame is None:
         frame = np.eye(m, dtype=complex)
     count = samples or max(16, 8 * (sum(abs(t) for t in turns) + 1) * m)

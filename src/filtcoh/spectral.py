@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import FilteredComplex
-from .gf2 import BitMatrix, Subspace, combine, preimage, span_solve, subquotient
+from .gf2 import BitMatrix, Echelon, Subspace, column_map, combine, coset_solver, preimage, subquotient
 
 __all__ = [
     "Page",
@@ -80,39 +80,42 @@ class Page:
 
 
 class _Engine:
-    """Shared filtration plumbing for both page computations."""
+    """Shared filtration plumbing for both page computations.
+
+    Every level F_n is a coordinate subspace, so reducing modulo F_n and
+    intersecting with it go through its bit mask: x mod F_n is x & ~mask.
+    """
 
     def __init__(self, c: FilteredComplex):
         self.c = c
         self.sig = c.sigma_maslov
         self.n_amb = len(c.generators)
         self.delta_cols = c.delta_columns()
+        self.apply_delta = column_map(self.delta_cols)
         self.members = c.grade_members()
         self.grades = c.occupied_grades()
+        self._grade_masks = {n: sum(1 << i for i in self.members[n]) for n in self.grades}
+        self._mask_cache: dict[int, int] = {}
         self._f_cache: dict[int, Subspace] = {}
         self._fimg_cache: dict[int, Subspace] = {}
 
-    def apply_delta(self, v: int) -> int:
-        out = 0
-        cols = self.delta_cols
-        while v:
-            i = (v & -v).bit_length() - 1
-            v &= v - 1
-            out ^= cols[i]
-        return out
+    def filtration_mask(self, n: int) -> int:
+        """Bit mask of F_n: grades >= n in the residue class of n (any integer n)."""
+        mask = self._mask_cache.get(n)
+        if mask is None:
+            mask = 0
+            for g, gmask in self._grade_masks.items():
+                if g >= n and (g - n) % self.sig == 0:
+                    mask |= gmask
+            self._mask_cache[n] = mask
+        return mask
 
     def filtration(self, n: int) -> Subspace:
-        """F_n: grades >= n in the residue class of n (any integer n)."""
+        """F_n as a subspace of the ambient space."""
         cached = self._f_cache.get(n)
         if cached is not None:
             return cached
-        sig = self.sig
-        vecs = [
-            1 << i
-            for i, g in enumerate(self.c.generators)
-            if g.maslov >= n and (g.maslov - n) % sig == 0
-        ]
-        sub = Subspace.from_vectors(self.n_amb, vecs)
+        sub = Subspace.coordinate(self.n_amb, self.filtration_mask(n))
         self._f_cache[n] = sub
         return sub
 
@@ -129,7 +132,11 @@ class _Engine:
 
     def cocycles(self, n: int, depth: int) -> Subspace:
         """Z-space { x in F_n : delta x in F_{n + depth} }."""
-        return preimage(self.apply_delta, self.filtration(n), self.filtration(n + depth))
+        outside = ~self.filtration_mask(n + depth)
+        apply_delta = self.apply_delta
+        return preimage(
+            lambda x: apply_delta(x) & outside, self.filtration(n), Subspace.zero(self.n_amb)
+        )
 
     def boundary_part(self, source: int, target: int) -> Subspace:
         """delta(F_source) restricted to F_target.
@@ -137,7 +144,7 @@ class _Engine:
         Equals delta of { x in F_source : delta x in F_target }, because a
         boundary that lies in F_target certifies its own preimage condition.
         """
-        return self.delta_filtration_image(source).intersection(self.filtration(target))
+        return self.delta_filtration_image(source).within(self.filtration_mask(target))
 
     def span(self) -> int:
         return self.grades[-1] - self.grades[0] if self.grades else 0
@@ -182,14 +189,14 @@ def _initial_state(eng: _Engine) -> _State:
     return _State(0, reps, denom)
 
 
-def _cell_space(eng: _Engine, state: _State, n: int) -> Subspace:
-    """Z^s(n) for any integer n, from the state when occupied."""
+def _cell_echelon(eng: _Engine, state: _State, n: int) -> Echelon:
+    """Builder holding Z^s(n) for any integer n, from the state when occupied."""
     if n in state.reps:
-        sub = state.denom[n]
+        ech = Echelon.of(state.denom[n])
         for v in state.reps[n]:
-            sub = sub.add_vector(v)
-        return sub
-    return eng.cocycles(n, state.s * eng.sig + 1)
+            ech.add(v)
+        return ech
+    return Echelon.of(eng.cocycles(n, state.s * eng.sig + 1))
 
 
 def _differential_matrices(eng: _Engine, state: _State) -> dict[int, BitMatrix]:
@@ -205,32 +212,42 @@ def _differential_matrices(eng: _Engine, state: _State) -> dict[int, BitMatrix]:
         if not tgt:
             out[n] = BitMatrix.zeros(0, len(src))
             continue
-        denom = state.denom[n + deg]
-        gens = list(tgt) + list(denom.basis)
+        coords = coset_solver(tgt, state.denom[n + deg])
         columns = []
         for v in src:
-            w = eng.apply_delta(v)
-            sol = span_solve(gens, w)
+            sol = coords.solve(eng.apply_delta(v))
             if sol is None:
                 raise AssertionError(
                     "differential image escaped the target cell; page recursion is inconsistent"
                 )
-            columns.append(sol & ((1 << len(tgt)) - 1))
+            columns.append(sol)
         out[n] = BitMatrix.from_columns(len(tgt), columns)
     return out
 
 
-def _repair(eng: _Engine, denom: Subspace, v: int, depth_grade: int) -> int:
-    """Correct v by a denominator element so delta(v) lands in F_depth_grade."""
-    target = eng.filtration(depth_grade)
-    w = target.reduce(eng.apply_delta(v))
-    if w == 0:
-        return v
-    gens = [target.reduce(eng.apply_delta(b)) for b in denom.basis]
-    sol = span_solve(gens, w)
-    if sol is None:
-        raise AssertionError("no deep representative exists; page recursion is inconsistent")
-    return v ^ combine(list(denom.basis), sol)
+def _repairer(eng: _Engine, denom: Subspace, depth_grade: int):
+    """Function correcting v by a denominator element so delta(v) lands in
+    F_depth_grade. Each denominator basis vector b is inserted as delta(b)
+    mod F_depth_grade tagged b, so a solution's tag is the correction."""
+    outside = ~eng.filtration_mask(depth_grade)
+    apply_delta = eng.apply_delta
+    solver = None
+
+    def repair(v: int) -> int:
+        nonlocal solver
+        w = apply_delta(v) & outside
+        if w == 0:
+            return v
+        if solver is None:
+            solver = Echelon(eng.n_amb, track=True)
+            for b in denom.basis:
+                solver.relate(apply_delta(b) & outside, b)
+        fix = solver.solve(w)
+        if fix is None:
+            raise AssertionError("no deep representative exists; page recursion is inconsistent")
+        return v ^ fix
+
+    return repair
 
 
 def _advance(eng: _Engine, state: _State) -> _State:
@@ -248,22 +265,19 @@ def _advance(eng: _Engine, state: _State) -> _State:
     new_reps: dict[int, tuple[int, ...]] = {}
     new_denom: dict[int, Subspace] = {}
     for n in eng.grades:
-        denom = _cell_space(eng, state, n + eng.sig) + eng.boundary_part(n - deg, n)
-        candidates = []
+        cur = _cell_echelon(eng, state, n + eng.sig)
+        for b in eng.boundary_part(n - deg, n).basis:
+            cur.add(b)
+        new_denom[n] = cur.freeze()
+        picked = []
         src = state.reps[n]
         if src:
+            repair = _repairer(eng, state.denom[n], n + (s + 1) * eng.sig + 1)
             for cmb in matrices[n].kernel_basis().basis:
-                candidates.append(combine(list(src), cmb))
-        depth_grade = n + (s + 1) * eng.sig + 1
-        repaired = [_repair(eng, state.denom[n], v, depth_grade) for v in candidates]
-        picked = []
-        cur = denom
-        for v in repaired:
-            if not cur.contains(v):
-                picked.append(v)
-                cur = cur.add_vector(v)
+                v = repair(combine(src, cmb))
+                if cur.add(v):
+                    picked.append(v)
         new_reps[n] = tuple(picked)
-        new_denom[n] = denom
     return _State(s + 1, new_reps, new_denom)
 
 

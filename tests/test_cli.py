@@ -1,12 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
 from filtcoh import chain_maps, cohomology, complexes, maslov, morse, obstruction, spectral
-from filtcoh.cli import OP_TO_VERB, VERBS, run
+from filtcoh.cli import OP_TO_VERB, VERBS, _emit, run
 from filtcoh.complexes import build_complex, serialize_complex
 from filtcoh.morse import TorusSpec, torus_complex
 
@@ -131,6 +132,22 @@ def test_binom(capsys):
     assert code == 0 and json.loads(out)["value"] == 3
 
 
+def test_emit_writes_ints_past_the_digit_limit(capsys):
+    value = 7 * 10**4999 + 3  # 5000 digits, past the default limit of 4300
+    limit = sys.get_int_max_str_digits()
+    _emit({"value": value})
+    out = capsys.readouterr().out
+    # the limit is back in force for everything else, input parsing included
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        int("1" * 5000)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out) == {"value": value}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_audin(capsys):
     code, out, err = run_cli(capsys, "audin", "--m", "2")
     assert code == 0
@@ -227,6 +244,19 @@ def test_pipeline_subprocess():
     )
     assert cohom.returncode == 0
     assert json.loads(cohom.stdout)["dims"] == [[-2, 1], [-1, 2], [0, 1]]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, filtcoh.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_byte_identical_outputs(torus_file):

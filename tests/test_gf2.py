@@ -4,8 +4,11 @@ import pytest
 
 from filtcoh.gf2 import (
     BitMatrix,
+    Echelon,
     Subspace,
+    column_map,
     combine,
+    coset_solver,
     kernel_basis,
     preimage,
     rank,
@@ -199,3 +202,199 @@ def test_subspace_reduce_is_linear_and_canonical():
         x = rng.getrandbits(n)
         if not s.contains(x):
             assert s.reduce(u ^ x) != s.reduce(u)
+
+
+# -- differential tests of the echelon core against dense brute force ---------
+#
+# The references below enumerate span elements and never eliminate: the
+# canonical basis of a span is read off its element set, as the unique
+# element per pivot column with a 0 in every other pivot column.
+
+
+def _span(vectors):
+    elems = {0}
+    for v in vectors:
+        elems |= {e ^ v for e in elems}
+    return frozenset(elems)
+
+
+def _low(x):
+    return (x & -x).bit_length() - 1
+
+
+def _canonical(elems):
+    pivots = {_low(x) for x in elems if x}
+    basis = []
+    for p in sorted(pivots):
+        rows = [x for x in elems if x and _low(x) == p and not any((x >> q) & 1 for q in pivots - {p})]
+        assert len(rows) == 1
+        basis.append(rows[0])
+    return tuple(basis)
+
+
+def _brute_apply(cols, v):
+    out = 0
+    for i, col in enumerate(cols):
+        if (v >> i) & 1:
+            out ^= col
+    return out
+
+
+def _rand_vectors(rng, n, count):
+    return [rng.getrandbits(n) for _ in range(count)]
+
+
+def test_builder_insertion_matches_brute_force():
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        vecs = _rand_vectors(rng, n, rng.randint(0, n + 2))
+        ech = Echelon(n)
+        seen = []
+        for v in vecs:
+            grew = ech.add(v)
+            assert grew == (v not in _span(seen))
+            seen.append(v)
+            assert ech.basis() == _canonical(_span(seen))
+            assert ech.dim == len(ech.basis())
+        assert ech.freeze().basis == Subspace.from_vectors(n, vecs).basis == _canonical(_span(vecs))
+
+
+def test_add_vector_and_sum_match_brute_force():
+    rng = random.Random(12)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        a = Subspace.from_vectors(n, _rand_vectors(rng, n, rng.randint(0, n)))
+        b = Subspace.from_vectors(n, _rand_vectors(rng, n, rng.randint(0, n)))
+        v = rng.getrandbits(n)
+        grown = a.add_vector(v)
+        assert grown.basis == _canonical(_span(a.basis + (v,)))
+        assert grown.basis == Subspace.from_vectors(n, a.basis + (v,)).basis
+        total = a + b
+        assert total.basis == (b + a).basis == _canonical(_span(a.basis + b.basis))
+        assert total.basis == Subspace.from_vectors(n, a.basis + b.basis).basis
+
+
+def test_intersection_and_within_match_brute_force():
+    rng = random.Random(13)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        a = Subspace.from_vectors(n, _rand_vectors(rng, n, rng.randint(0, n)))
+        b = Subspace.from_vectors(n, _rand_vectors(rng, n, rng.randint(0, n)))
+        common = _span(a.basis) & _span(b.basis)
+        meet = a.intersection(b)
+        assert meet.basis == b.intersection(a).basis == _canonical(common)
+        assert meet.basis == Subspace.from_vectors(n, common).basis
+        mask = rng.getrandbits(n)
+        inside = [x for x in _span(a.basis) if not x & ~mask]
+        assert a.within(mask).basis == _canonical(frozenset(inside))
+        assert a.within(mask).basis == Subspace.from_vectors(n, inside).basis
+        assert Subspace.coordinate(n, mask).basis == Subspace.from_vectors(
+            n, [1 << i for i in range(n) if (mask >> i) & 1]
+        ).basis
+
+
+def test_preimage_matches_brute_force():
+    rng = random.Random(14)
+    for _ in range(120):
+        n, m = rng.randint(1, 10), rng.randint(1, 10)
+        cols = _rand_vectors(rng, m, n)
+        f = column_map(cols)
+        a = Subspace.from_vectors(n, _rand_vectors(rng, n, rng.randint(0, n)))
+        b = Subspace.from_vectors(m, _rand_vectors(rng, m, rng.randint(0, m)))
+        target = _span(b.basis)
+        pre = [x for x in _span(a.basis) if _brute_apply(cols, x) in target]
+        result = preimage(f, a, b)
+        assert result.basis == _canonical(frozenset(pre))
+        assert result.basis == Subspace.from_vectors(n, pre).basis
+        for x in range(1 << n):
+            assert f(x) == _brute_apply(cols, x)
+
+
+def test_kernel_basis_matches_brute_force():
+    rng = random.Random(15)
+    for _ in range(120):
+        m = _random_matrix(rng, rng.randint(0, 8), rng.randint(0, 10))
+        rows = [m.row(i) for i in range(m.rows)]
+        kernel = [v for v in range(1 << m.cols) if not any(bin(r & v).count("1") % 2 for r in rows)]
+        assert m.kernel_basis().basis == _canonical(frozenset(kernel))
+        assert m.kernel_basis().basis == Subspace.from_vectors(m.cols, kernel).basis
+        assert m.rank() == len(_canonical(_span(rows)))
+
+
+def test_span_solve_matches_brute_force():
+    rng = random.Random(16)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        gens = _rand_vectors(rng, n, rng.randint(0, 7))
+        # the generators outside the span of their predecessors
+        free = [i for i, g in enumerate(gens) if g not in _span(gens[:i])]
+        for v in range(1 << n):
+            combos = [
+                c for c in range(1 << len(gens))
+                if not any((c >> i) & 1 for i in range(len(gens)) if i not in free)
+                and combine(gens, c) == v
+            ]
+            assert len(combos) <= 1
+            assert span_solve(gens, v) == (combos[0] if combos else None)
+
+
+def test_coset_solver_and_subquotient_match_brute_force():
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        a = Subspace.from_vectors(n, _rand_vectors(rng, n, rng.randint(0, n)))
+        b = Subspace.from_vectors(n, _rand_vectors(rng, n, rng.randint(0, n)))
+        dim, reps = subquotient(a, b)
+        common = _span(a.basis) & _span(b.basis)
+        expected = []
+        for v in a.basis:
+            if v not in _span(list(common) + expected):
+                expected.append(v)
+        assert reps == tuple(expected) and dim == len(expected)
+        solver = coset_solver(reps, a.intersection(b))
+        for x in _span(a.basis):
+            sol = solver.solve(x)
+            assert sol is not None and combine(reps, sol) ^ x in common
+        outside = [x for x in range(1 << n) if x not in _span(a.basis)]
+        for x in outside[:5]:
+            assert solver.solve(x) is None
+
+
+def _quadratic_check(ambient_dim, basis):
+    """The invariant check as first written: every pair of basis vectors."""
+    last_pivot = -1
+    pivots = []
+    for v in basis:
+        if v == 0 or v >> ambient_dim:
+            raise ValueError("basis vector zero or out of bounds")
+        p = _low(v)
+        if p <= last_pivot:
+            raise ValueError("pivots not strictly increasing")
+        last_pivot = p
+        pivots.append(p)
+    for v in basis:
+        for p, w in zip(pivots, basis):
+            if v is not w and (v >> p) & 1:
+                raise ValueError("basis not fully reduced")
+
+
+def test_invariant_check_agrees_with_pairwise_check():
+    rng = random.Random(18)
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randint(0, 6)
+        basis = tuple(rng.getrandbits(n + 1) for _ in range(rng.randint(0, 4)))
+        try:
+            _quadratic_check(n, basis)
+            expected = None
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            Subspace(n, basis)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
+        outcomes.add(expected)
+    assert len(outcomes) == 4  # accepted, and each of the three rejections

@@ -3,13 +3,14 @@
 Verbs dispatch 1:1 onto the library operations (see OP_TO_VERB). Reports go
 to stdout as JSON (TSV for page dumps), diagnostics and warnings to stderr.
 Exit codes: 0 success / empty violations, 1 violations or "none" verdicts,
-2 usage or file errors. Complex files are read from a path or from stdin
-when the path is "-".
+2 usage or file errors and exceeded search budgets. Complex files are read
+from a path or from stdin when the path is "-".
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,6 +229,8 @@ def _cmd_decomp(args) -> int:
     if result.found:
         out["witness"] = [q.terms() for q in result.witness]
         out["verified"] = result.verify()
+    elif result.certificate is not None:
+        out["certificate"] = {"exponents": list(result.certificate)}
     _emit(out)
     return 0 if result.found else 1
 
@@ -349,7 +352,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged and starts every call from a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="filtcoh",
         description="integer-graded filtered cochain complexes over GF(2): "

@@ -1,11 +1,13 @@
 """Polynomial obstruction calculus on spectral-sequence pages.
 
 Provides exact Laurent polynomials of page dimensions, the per-page rank
-identity they satisfy, a complete bounded search for decompositions
+identity they satisfy, a decision procedure for decompositions
 
     target(t) = sum_{i=1}^{k} (1 + t^{i*Sigma + 1}) Q_i(t)
 
-with nonnegative integer coefficients, alternating binomial sums with their
+with nonnegative integer coefficients (forced chains, one max-flow whose
+"none" verdicts carry Hall certificates, and a complete search where odd
+cycles leave the flow undecided), alternating binomial sums with their
 closed form, a signed rank-balance check for acyclic complexes, and the full
 even-period exclusion procedure answering the torus question.
 """
@@ -171,30 +173,61 @@ def check_page_recursion(c: FilteredComplex) -> list[RecursionViolation]:
 
 
 # -- decomposition search ----------------------------------------------------
+#
+# Write T = sum_i (1 + t^(i*Sigma+1)) Q_i. A unit of q_i(x) is an edge
+# x -- x + i*Sigma + 1 of the "offset graph" on the exponents 0 .. deg T, so
+# a decomposition is an exact b-matching of that graph with b = T: the
+# edges at each exponent e carry T(e) units in all. Counting each unit once
+# at either end shows that T(S) <= T(N(S)) for every set S of exponents and
+# its neighbours N(S) = {x +- (i*Sigma + 1) : x in S}; a set that breaks this
+# inequality (a Hall set) proves that no decomposition exists.
+
+# Node budget of the top-down search, the one exponential step (odd Sigma,
+# k >= 2, Hall's condition met): 9.6 s on one 2-vCPU Xeon (`decomp --m 400
+# --sigma 3 --k 3`). Past it the search raises SearchBudgetExceeded instead
+# of running on.
+DFS_NODE_BUDGET = 20_000_000
+
+
+class SearchBudgetExceeded(ValueError):
+    """The top-down decomposition search used up DFS_NODE_BUDGET nodes
+    without a verdict."""
+
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Witness list (Q_1 .. Q_k) or a certified none; the search is complete
-    because coefficients are nonnegative, so every degree bound and
-    coefficient cap is forced rather than heuristic."""
+    """Witness list (Q_1 .. Q_k) or a "none" verdict. A "none" decided by the
+    max-flow or by a forced chain carries `certificate`, a Hall set of
+    exponents S with T(S) > T(N(S)); a "none" from the complete top-down
+    search carries none. `nodes` counts the top-down search's nodes, 0 when
+    it did not run."""
 
     sigma: int
     k: int
     target: LaurentPoly
     witness: Optional[tuple[LaurentPoly, ...]]
     nodes: int
+    certificate: Optional[tuple[int, ...]] = None
 
     @property
     def found(self) -> bool:
         return self.witness is not None
 
     def verify(self) -> bool:
-        if self.witness is None:
-            return False
-        acc = LaurentPoly.zero()
-        for i, q in enumerate(self.witness, start=1):
-            acc = acc + (LaurentPoly.one() + LaurentPoly.term(i * self.sigma + 1)) * q
-        return acc == self.target and all(q.is_nonnegative() for q in self.witness)
+        """Multiply the witness out, or check the certificate's Hall
+        inequality by integer arithmetic; False when there is neither."""
+        if self.witness is not None:
+            acc = LaurentPoly.zero()
+            for i, q in enumerate(self.witness, start=1):
+                acc = acc + (LaurentPoly.one() + LaurentPoly.term(i * self.sigma + 1)) * q
+            return acc == self.target and all(q.is_nonnegative() for q in self.witness)
+        if self.certificate is not None:
+            offsets = [i * self.sigma + 1 for i in range(1, self.k + 1)]
+            s = set(self.certificate)
+            nbrs = {x + d for x in s for off in offsets for d in (off, -off)}
+            weight = self.target.coeff
+            return sum(map(weight, s)) > sum(map(weight, nbrs))
+        return False
 
 
 def _check_search_args(target: LaurentPoly, sigma: int, k: int) -> None:
@@ -207,73 +240,213 @@ def _check_search_args(target: LaurentPoly, sigma: int, k: int) -> None:
 
 
 def decomposition_search(target: LaurentPoly, sigma: int, k: int) -> DecompositionResult:
-    """Complete search, processing coefficient constraints from the top
-    degree downward.
+    """Decide target = sum_{i=1}^{k} (1 + t^(i*Sigma+1)) Q_i with Q_i >= 0.
 
-    Writing T = sum_i (Q_i + t^(i*sigma+1) Q_i), the coefficient q_i(x) is
-    forced to satisfy q_i(x) <= T(x) and q_i(x) <= T(x + i*sigma + 1), and
-    deg Q_i <= deg T - i*sigma - 1; the enumeration below walks exponents
-    e = deg T .. 0, choosing at each e the split of the residual demand
-    among the q_i(e - i*sigma - 1).
+    k = 1: exact division by 1 + t^(Sigma+1), one forced chain per residue
+    class of exponents mod Sigma + 1 (`_forced_chains`).
+    k >= 2: one max-flow on the bipartite double cover of the offset graph
+    (`_hall_flow`). A deficit yields a Hall set and the verdict "none". For
+    even Sigma every offset is odd, the graph is bipartite by parity and the
+    flow itself is an integral witness. For odd Sigma with Hall's condition
+    met, the complete top-down search decides (`_top_down`), within
+    DFS_NODE_BUDGET nodes.
     """
     _check_search_args(target, sigma, k)
     if target.is_zero():
-        return DecompositionResult(sigma, k, target, tuple(LaurentPoly.zero() for _ in range(k)), 1)
-    deg = target.max_exp
+        return DecompositionResult(sigma, k, target, tuple(LaurentPoly.zero() for _ in range(k)), 0)
+    tcoef = [target.coeff(e) for e in range(target.max_exp + 1)]
     offsets = [i * sigma + 1 for i in range(1, k + 1)]
-    deg_q = [deg - off for off in offsets]  # negative: that Q_i is identically 0
-    tcoef = [target.coeff(e) for e in range(deg + 1)]
-    q: list[dict[int, int]] = [dict() for _ in range(k)]
     nodes = 0
+    if k == 1:
+        q, hall = _forced_chains(tcoef, offsets[0])
+    else:
+        q, hall = _hall_flow(tcoef, offsets)
+        if q is None and hall is None:
+            q, nodes = _top_down(tcoef, offsets)
+    witness = None if q is None else tuple(LaurentPoly(dict(enumerate(qi))) for qi in q)
+    return DecompositionResult(sigma, k, target, witness, nodes, hall)
 
-    def residual(e: int) -> int:
-        # q_i(e) parts were chosen at constraint e + offset_i
-        s = tcoef[e]
-        for i in range(k):
-            if e <= deg_q[i]:
-                s -= q[i].get(e, 0)
-        return s
 
-    def descend(e: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if e < 0:
-            return True
-        need = residual(e)
-        if need < 0:
-            return False
-        slots = [i for i in range(k) if 0 <= e - offsets[i] <= deg_q[i]]
-        if not slots:
-            return need == 0 and descend(e - 1)
+def _forced_chains(tcoef: list[int], off: int):
+    """Exact division by 1 + t^off. The offset graph is a union of paths
+    r, r + off, r + 2*off, ..., whose edge units are forced from the bottom
+    up: the edge above x carries T(x) minus the edge below. Returns (q, None)
+    or (None, Hall set): a negative unit above x, or units left over at a
+    chain's top x, make every other exponent of the chain down from the
+    exponent below x, or from x, a Hall set."""
+    deg = len(tcoef) - 1
+    q = [0] * max(deg - off + 1, 0)
+    for r in range(min(off, deg + 1)):
+        below = 0
+        for x in range(r, deg + 1, off):
+            above = tcoef[x] - below
+            if above < 0:
+                return None, tuple(range((x - off) % (2 * off), x - off + 1, 2 * off))
+            if x + off > deg:
+                if above:
+                    return None, tuple(range(x % (2 * off), x + 1, 2 * off))
+            else:
+                q[x] = above
+            below = above
+    return [q], None
 
-        def split(pos: int, left: int) -> bool:
-            nonlocal nodes
-            if pos == len(slots) - 1:
-                i = slots[pos]
+
+def _hall_flow(tcoef: list[int], offsets: list[int]):
+    """Max-flow from every left copy L_x (capacity T(x) from the source) to
+    every right copy R_y (capacity T(y) to the sink), with an arc L_x -> R_y
+    for each edge x -- y of the offset graph.
+
+    Returns (None, Hall set) when the flow falls short of T(0) + ... + T(deg):
+    the exponents of the left copies on the source side of the minimum cut,
+    whose neighbours are the right copies on that side. Otherwise returns
+    (None, None), or (q, None) when every offset is odd: the graph is then
+    bipartite by parity and the flow on the even -> odd arcs is an integral
+    witness."""
+    support = [x for x, c in enumerate(tcoef) if c]
+    left = {x: 2 + 2 * j for j, x in enumerate(support)}  # R_x is left[x] + 1
+    total = sum(tcoef)
+    arcs = []
+    pairs = []  # (arc index, lower end, offset index) of the even -> odd arcs
+    for x in support:
+        arcs.append((0, left[x], tcoef[x]))
+        arcs.append((left[x] + 1, 1, tcoef[x]))
+        for i, off in enumerate(offsets):
+            for y in (x - off, x + off):
+                if y in left:
+                    if x % 2 == 0 and off % 2:
+                        pairs.append((len(arcs), min(x, y), i))
+                    arcs.append((left[x], left[y] + 1, total))
+    flow, residual, reached = _max_flow(2 + 2 * len(support), arcs, 0, 1)
+    if flow < total:
+        return None, tuple(x for x in support if reached[left[x]])
+    if any(off % 2 == 0 for off in offsets):
+        return None, None
+    deg = len(tcoef) - 1
+    q = [[0] * max(deg - off + 1, 0) for off in offsets]
+    for a, x, i in pairs:
+        q[i][x] = total - residual[2 * a]
+    return q, None
+
+
+def _max_flow(n: int, arcs: list[tuple[int, int, int]], s: int, t: int):
+    """Dinic's algorithm with exact integer capacities on nodes 0 .. n-1.
+    Arc a = (u, v, cap) is residual entry 2a, its reverse 2a + 1. Returns
+    (flow value, residual capacities, reached) with reached[v] true for the
+    nodes the source still reaches in the final residual graph."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    head, residual = [], []
+    for u, v, cap in arcs:
+        adj[u].append(len(head))
+        head.append(v)
+        residual.append(cap)
+        adj[v].append(len(head))
+        head.append(u)
+        residual.append(0)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for a in adj[u]:
+                    v = head[a]
+                    if residual[a] and level[v] < 0:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if level[t] < 0:
+            return flow, residual, [lv >= 0 for lv in level]
+        # blocking flow: walk admissible arcs from s, augment at t, retreat
+        # from dead ends; it[u] skips arcs already found useless this phase
+        it = [0] * n
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                push = min(residual[a] for a in path)
+                for a in path:
+                    residual[a] -= push
+                    residual[a ^ 1] += push
+                flow += push
+                path.clear()
+                u = s
+            arcs_u = adj[u]
+            j = it[u]
+            while j < len(arcs_u) and not (residual[arcs_u[j]] and level[head[arcs_u[j]]] == level[u] + 1):
+                j += 1
+            it[u] = j
+            if j < len(arcs_u):
+                path.append(arcs_u[j])
+                u = head[arcs_u[j]]
+            elif u == s:
+                break
+            else:
+                u = head[path.pop() ^ 1]
+                it[u] += 1
+
+
+def _top_down(tcoef: list[int], offsets: list[int]):
+    """Complete search over the constraints e = deg .. 0, from the top down.
+
+    Writing T = sum_i (Q_i + t^(i*Sigma+1) Q_i), the coefficient q_i(x) is
+    capped by T(x) and, since coefficients are nonnegative, every degree
+    bound and cap is forced rather than heuristic. At e the residual demand
+    T(e) - sum_i q_i(e) is split among the q_i(e - offset_i), i ascending,
+    each value tried from 0 up and the last part forced. Choice points live
+    on an explicit stack. Returns (q, nodes) or (None, nodes), counting one
+    node per constraint entered and per value tried."""
+    deg = len(tcoef) - 1
+    q = [[0] * max(deg - off + 1, 0) for off in offsets]
+    slots = [sum(off <= e for off in offsets) for e in range(deg + 1)]
+    chosen = [[qi for qi in q if e < len(qi)] for e in range(deg + 1)]  # the q_i(e) set above e
+    stack: list[list[int]] = []  # choice points [e, i, demand, value, cap]
+    nodes = 0
+    e, i, demand = deg, -1, 0  # i < 0: enter constraint e; else split at slot i
+    while True:
+        if nodes > DFS_NODE_BUDGET:
+            raise SearchBudgetExceeded(
+                f"decomposition search stopped at its budget of {DFS_NODE_BUDGET} nodes without a verdict"
+            )
+        feasible = True
+        if i < 0:
+            nodes += 1
+            if e < 0:
+                return q, nodes
+            demand = tcoef[e]
+            for qi in chosen[e]:
+                demand -= qi[e]
+            if demand < 0 or (slots[e] == 0 and demand):
+                feasible = False
+            elif slots[e] == 0:
+                e -= 1
+                continue
+            else:
+                i = 0
+        if feasible:
+            last = slots[e] - 1
+            while i < last:
                 x = e - offsets[i]
-                if left > tcoef[x]:
-                    return False
-                q[i][x] = left
-                if descend(e - 1):
-                    return True
-                del q[i][x]
-                return False
-            i = slots[pos]
-            x = e - offsets[i]
-            for val in range(min(left, tcoef[x]) + 1):
+                stack.append([e, i, demand, 0, min(demand, tcoef[x])])
                 nodes += 1
-                q[i][x] = val
-                if split(pos + 1, left - val):
-                    return True
-            del q[i][x]
-            return False
-
-        return split(0, need)
-
-    if descend(deg):
-        witness = tuple(LaurentPoly(qi) for qi in q)
-        return DecompositionResult(sigma, k, target, witness, nodes)
-    return DecompositionResult(sigma, k, target, None, nodes)
+                q[i][x] = 0
+                i += 1
+            x = e - offsets[last]
+            if demand <= tcoef[x]:
+                q[last][x] = demand
+                e, i = e - 1, -1
+                continue
+        while stack and stack[-1][3] == stack[-1][4]:
+            stack.pop()
+        if not stack:
+            return None, nodes
+        point = stack[-1]
+        point[3] += 1
+        nodes += 1
+        e, i, value = point[0], point[1], point[3]
+        q[i][e - offsets[i]] = value
+        demand, i = point[2] - value, i + 1
 
 
 def decomposition_search_colex(target: LaurentPoly, sigma: int, k: int) -> DecompositionResult:
@@ -340,10 +513,15 @@ def decomposition_search_colex(target: LaurentPoly, sigma: int, k: int) -> Decom
 
 
 def alternating_binomial_sum(m: int, n_top: int) -> int:
-    """sum_{l=0}^{N} (-1)^l C(m, l); equals (-1)^N C(m-1, N)."""
+    """sum_{l=0}^{N} (-1)^l C(m, l); equals (-1)^N C(m-1, N). Each binomial
+    comes from the one before, C(m, l+1) = C(m, l) (m - l) / (l + 1), exactly."""
     if m < 1 or n_top < 0:
         raise ValueError("need m >= 1 and N >= 0")
-    return sum((-1) ** l * math.comb(m, l) for l in range(n_top + 1))
+    total, term = 0, 1
+    for l in range(min(n_top, m) + 1):
+        total += -term if l & 1 else term
+        term = term * (m - l) // (l + 1)
+    return total
 
 
 class PreconditionError(ValueError):

@@ -111,3 +111,12 @@ def _random_complex_once(rng, max_gens, sigma_choices):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+def hall_violated(target: dict[int, int], sigma: int, k: int, exponents) -> bool:
+    """Whether the exponents S satisfy T(S) > T(N(S)), N(S) the exponents
+    x +- (i*sigma + 1), i = 1..k, of S. Each unit of Q_i in a decomposition
+    of T is counted once at each end, so such an S rules one out."""
+    s = set(exponents)
+    nbrs = {x + sgn * (i * sigma + 1) for x in s for i in range(1, k + 1) for sgn in (1, -1)}
+    return sum(target.get(x, 0) for x in s) > sum(target.get(y, 0) for y in nbrs)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,10 @@ import sys
 import pytest
 
 from filtcoh import chain_maps, cohomology, complexes, maslov, morse, obstruction, spectral
-from filtcoh.cli import OP_TO_VERB, VERBS, _emit, run
+from filtcoh.cli import OP_TO_VERB, VERBS, _emit, build_parser, run
 from filtcoh.complexes import build_complex, serialize_complex
 from filtcoh.morse import TorusSpec, torus_complex
+from conftest import hall_violated
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +123,46 @@ def test_decomp_witness_and_none(capsys):
     code, out, _ = run_cli(capsys, "decomp", "--m", "4", "--sigma", "4", "--k", "1")
     assert code == 1
     assert json.loads(out)["status"] == "none"
+
+
+def test_decomp_none_by_exact_division_at_m1500(capsys):
+    # k = 1 runs as forced chains, so m = 1500 exponents need no deep stack
+    code, out, _ = run_cli(capsys, "decomp", "--m", "1500", "--sigma", "3", "--k", "1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "none" and report["nodes"] == 0
+    target = {e: math.comb(1500, e) for e in range(1501)}
+    assert hall_violated(target, 3, 1, report["certificate"]["exponents"])
+
+
+def test_decomp_flow_certificate(capsys):
+    code, out, _ = run_cli(capsys, "decomp", "--m", "11", "--sigma", "3", "--k", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "none" and report["nodes"] == 0
+    target = {e: math.comb(11, e) for e in range(12)}
+    assert hall_violated(target, 3, 3, report["certificate"]["exponents"])
+
+
+def test_decomp_search_budget_exits_2(capsys, monkeypatch):
+    # Sigma = 1: the flow leaves (1+t)^8 to the top-down search (26754 nodes)
+    monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", 1000)
+    code, out, err = run_cli(capsys, "decomp", "--m", "8", "--sigma", "1", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "budget of 1000 nodes" in err
+
+
+def test_parser_is_reused_without_leaking_state(capsys, torus_file):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, "pages", torus_file, "--einfty")
+    assert code == 0 and set(json.loads(out)) == {"k", "cells"}
+    code, out, _ = run_cli(capsys, "pages", torus_file, "--max-k", "1")
+    assert code == 0 and set(json.loads(out)) == {"pages"}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(["pages", torus_file, "--max-k", "one"]) == 2
+    assert "invalid int value" in err.getvalue()
+    assert capsys.readouterr().err == ""
 
 
 def test_decomp_argument_exclusivity(capsys):

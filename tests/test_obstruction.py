@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtcoh.complexes import build_complex
 from filtcoh.morse import QuantumEdge, TorusSpec, quantum_perturbed_torus, torus_complex
+from filtcoh import obstruction
 from filtcoh.obstruction import (
     LaurentPoly,
     PreconditionError,
@@ -16,7 +18,7 @@ from filtcoh.obstruction import (
     rank_balance,
 )
 from filtcoh.spectral import page
-from conftest import random_complex
+from conftest import hall_violated, random_complex
 
 
 def test_laurent_basics():
@@ -69,6 +71,9 @@ def test_decomposition_witness_by_construction():
 def test_decomposition_impossible_quartic():
     result = decomposition_search(LaurentPoly.binomial_power(4), 4, 1)
     assert not result.found
+    # deg 4 < offset 5: every exponent is a chain of its own, and the lowest
+    # one, 0, is a Hall set with T({0}) = 1 > T(N({0})) = 0
+    assert result.certificate == (0,) and result.verify()
     assert not decomposition_search_colex(LaurentPoly.binomial_power(4), 4, 1).found
 
 
@@ -105,6 +110,66 @@ def test_two_searches_agree_on_small_targets():
                     assert a.verify() and b.verify()
 
 
+@st.composite
+def decomposition_problems(draw):
+    """A nonnegative target of degree <= 14 with Sigma in 1..4 and k in
+    1..3: half the draws multiply out random Q_i >= 0 (so a witness exists),
+    half take arbitrary coefficients (mostly no decomposition)."""
+    sigma = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        target = LaurentPoly.zero()
+        for i in range(1, k + 1):
+            top = 14 - i * sigma - 1
+            coeffs = draw(st.lists(st.integers(0, 2), max_size=max(top + 1, 0)))
+            target = target + (LaurentPoly.one() + LaurentPoly.term(i * sigma + 1)) * LaurentPoly(dict(enumerate(coeffs)))
+    else:
+        coeffs = draw(st.lists(st.integers(0, 4), max_size=15))
+        target = LaurentPoly(dict(enumerate(coeffs)))
+    return target, sigma, k
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(decomposition_problems())
+def test_decomposition_search_matches_colex_scan(problem):
+    target, sigma, k = problem
+    result = decomposition_search(target, sigma, k)
+    assert result.found == decomposition_search_colex(target, sigma, k).found
+    if k == 1 or sigma % 2 == 0:
+        assert result.nodes == 0  # decided by the chains or the flow alone
+    if result.found:
+        assert result.verify() and result.certificate is None
+    elif result.certificate is not None:
+        assert hall_violated(target.coeffs, sigma, k, result.certificate)
+        assert result.verify() and result.nodes == 0
+    else:
+        # only the top-down search may say "none" without a certificate
+        assert sigma % 2 == 1 and k >= 2 and result.nodes > 0
+
+
+def test_decomposition_odd_cycle_reaches_search():
+    # offsets 2 and 3 join 0-2-4-6-3-0, a 5-cycle with capacity 1 at each
+    # exponent: Hall's condition holds (half a unit on every edge), yet no
+    # integral decomposition exists, so only the top-down search can say so
+    target = LaurentPoly({0: 1, 2: 1, 3: 1, 4: 1, 6: 1})
+    result = decomposition_search(target, 1, 2)
+    assert not result.found and result.certificate is None and result.nodes > 0
+    assert not result.verify()
+    assert not decomposition_search_colex(target, 1, 2).found
+
+
+def test_decomposition_search_budget(monkeypatch):
+    target = LaurentPoly.binomial_power(8)
+    # the witness and node count of the former recursive search, whose
+    # order the top-down search keeps
+    result = decomposition_search(target, 1, 2)
+    assert result.nodes == 26754
+    assert result.witness == (LaurentPoly({2: 27, 3: 54, 4: 27}), LaurentPoly({0: 1, 1: 8, 2: 1, 3: 1, 4: 8, 5: 1}))
+    monkeypatch.setattr(obstruction, "DFS_NODE_BUDGET", 1000)
+    with pytest.raises(obstruction.SearchBudgetExceeded, match="budget of 1000 nodes"):
+        decomposition_search(target, 1, 2)
+
+
 def test_alternating_binomial_examples():
     assert alternating_binomial_sum(5, 5) == 0
     assert alternating_binomial_sum(4, 2) == 3
@@ -115,6 +180,11 @@ def test_alternating_binomial_closed_form():
     for m in range(1, 31):
         for n_top in range(0, m + 3):
             assert alternating_binomial_sum(m, n_top) == (-1) ** n_top * math.comb(m - 1, n_top)
+
+
+def test_alternating_binomial_closed_form_large_m():
+    for m, n_top in ((2003, 0), (2003, 1001), (2003, 2002), (2003, 2003), (3011, 1498), (3011, 4000)):
+        assert alternating_binomial_sum(m, n_top) == (-1) ** n_top * math.comb(m - 1, n_top)
 
 
 def test_rank_balance_on_acyclic_fixture():

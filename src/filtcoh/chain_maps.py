@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
-from .complexes import ComplexFormatError, FilteredComplex, Violation
+from .complexes import ComplexFormatError, FilteredComplex, InternalError, Violation
 from .gf2 import BitMatrix, column_map, coset_solver
-from .spectral import _states_up_to
+from .spectral import _stable_pair, _states_up_to, stabilization_bound
 
 __all__ = [
     "FilteredMap",
@@ -19,6 +20,7 @@ __all__ = [
     "verify_cochain_map",
     "verify_homotopy",
     "induced_page_map",
+    "iso_on_pages",
     "compose",
     "map_sum",
     "identity_map",
@@ -47,8 +49,10 @@ class FilteredMap:
             cols[src_idx[a]] ^= 1 << tgt_idx[b]
         return cols
 
-    def apply(self, v: int) -> int:
-        return column_map(self.matrix_columns())(v)
+    @cached_property
+    def apply(self):
+        """The map as a function on bit vectors, built once per map."""
+        return column_map(self.matrix_columns())
 
 
 def identity_map(c: FilteredComplex) -> FilteredMap:
@@ -136,11 +140,10 @@ def verify_cochain_map(f: FilteredMap) -> list[Violation]:
         return out
     fcols = f.matrix_columns()
     dsrc = f.source.delta_columns()
-    apply_f = column_map(fcols)
     apply_dtgt = column_map(f.target.delta_columns())
     bad_grades = []
     for i, g in enumerate(f.source.generators):
-        lhs = apply_f(dsrc[i])
+        lhs = f.apply(dsrc[i])
         rhs = apply_dtgt(fcols[i])
         if lhs != rhs:
             bad_grades.append((g.maslov, g.id))
@@ -209,13 +212,34 @@ def induced_page_map(f: FilteredMap, k: int) -> PageMapReport:
         raise ValueError("not a cochain map: " + "; ".join(v.rule for v in problems))
     if k < 1:
         raise ValueError("page index must be >= 1")
-    src_eng, src_states = _states_up_to(f.source, k)
-    tgt_eng, tgt_states = _states_up_to(f.target, k)
-    src_state, tgt_state = src_states[k], tgt_states[k]
-    apply_f = column_map(f.matrix_columns())
+    _, src_states = _states_up_to(f.source, k)
+    _, tgt_states = _states_up_to(f.target, k)
+    return _induced_on_states(f, k, src_states[k], tgt_states[k])
+
+
+def iso_on_pages(f: FilteredMap) -> dict[int, bool]:
+    """k -> whether the cochain map f, already verified, is bijective on
+    every cell of E^k, for k up to the larger stabilization bound. Both
+    recursions run once, to a common stop where both sequences have
+    degenerated; past it every page, and with it the induced map, is a
+    copy of the last."""
+    bound = max(stabilization_bound(f.source), stabilization_bound(f.target))
+    (_, src_states), (_, tgt_states) = _stable_pair(f.source, f.target)
+    iso = {}
+    for k in range(1, bound + 1):
+        if k < len(src_states):
+            iso[k] = _induced_on_states(f, k, src_states[k], tgt_states[k]).iso
+        else:
+            iso[k] = iso[k - 1]
+    return iso
+
+
+def _induced_on_states(f: FilteredMap, k: int, src_state, tgt_state) -> PageMapReport:
+    """The map on the page cells presented by two stage-k states; every
+    occupied grade of a complex has an entry in its states' reps."""
     matrices = {}
     iso = True
-    for n in sorted(set(src_eng.grades) | set(tgt_eng.grades)):
+    for n in sorted(set(src_state.reps) | set(tgt_state.reps)):
         j = n % f.source.sigma_maslov
         src_reps = src_state.reps.get(n, ())
         tgt_reps = tgt_state.reps.get(n, ())
@@ -228,9 +252,11 @@ def induced_page_map(f: FilteredMap, k: int) -> PageMapReport:
         coords = coset_solver(tgt_reps, tgt_state.denom[n])
         cols = []
         for v in src_reps:
-            sol = coords.solve(apply_f(v))
+            sol = coords.solve(f.apply(v))
             if sol is None:
-                raise AssertionError("image of a page class escaped the target cell")
+                raise InternalError(
+                    "image of a page class escaped the target cell", k, (n, j), f.source.support_ids(v)
+                )
             cols.append(sol)
         mat = BitMatrix.from_columns(len(tgt_reps), cols)
         matrices[(n, j)] = mat

@@ -3,8 +3,10 @@
 Verbs dispatch 1:1 onto the library operations (see OP_TO_VERB). Reports go
 to stdout as JSON (TSV for page dumps), diagnostics and warnings to stderr.
 Exit codes: 0 success / empty violations, 1 violations or "none" verdicts,
-2 usage or file errors and exceeded search budgets. Complex files are read
-from a path or from stdin when the path is "-".
+2 usage or file errors and exceeded search budgets, 3 internal errors (a
+failed consistency check or any other unexpected exception, reported as one
+"internal error:" line on stderr). Complex files are read from a path or
+from stdin when the path is "-".
 """
 
 from __future__ import annotations
@@ -148,11 +150,8 @@ def _cmd_pages(args) -> int:
     if args.tsv:
         sys.stdout.write(spectral.pages_tsv(c, max_k))
         return 0
-    rows = []
-    for line in spectral.pages_tsv(c, max_k).splitlines()[1:]:
-        k, n, j, dim, rank_dk = line.split("\t")
-        rows.append({"k": int(k), "n": int(n), "j": int(j), "dim": int(dim), "rank_dk": int(rank_dk)})
-    _emit({"pages": rows})
+    fields = ("k", "n", "j", "dim", "rank_dk")
+    _emit({"pages": [dict(zip(fields, row)) for row in spectral.page_rows(c, max_k)]})
     return 0
 
 
@@ -169,11 +168,7 @@ def _cmd_oracle(args) -> int:
     bound = args.max_k if args.max_k is not None else spectral.stabilization_bound(c)
     mismatches = []
     checked = 0
-    for k in range(1, bound + 1):
-        fast = spectral.page(c, k).dims()
-        slow = spectral.page_oracle(c, k).dims()
-        rank_fast = {key: m.rank() for key, m in spectral.differential(c, k).items() if m.rank()}
-        rank_slow = {key: r for key, r in spectral.oracle_differential_ranks(c, k).items() if r}
+    for k, fast, slow, rank_fast, rank_slow in spectral.oracle_comparison(c, bound):
         checked += 1
         if fast != slow:
             mismatches.append({"k": k, "kind": "dims", "page": _cells(fast), "oracle": _cells(slow)})
@@ -322,13 +317,7 @@ def _cmd_mapcheck(args) -> int:
             v.as_dict() for v in chain_maps.verify_homotopy(f, g, h)
         ]
     if args.pages and not problems:
-        bound = max(
-            spectral.stabilization_bound(source), spectral.stabilization_bound(target)
-        )
-        iso = {}
-        for k in range(1, bound + 1):
-            iso[str(k)] = chain_maps.induced_page_map(f, k).iso
-        out["iso_on_pages"] = iso
+        out["iso_on_pages"] = {str(k): iso for k, iso in chain_maps.iso_on_pages(f).items()}
     failures = problems or out.get("homotopy_violations")
     _emit(out)
     return 1 if failures else 0
@@ -489,6 +478,10 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # InternalError, or a bug that raised anything else
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -39,15 +39,6 @@ class GradedDims:
         return sum(d for _, d in self.dims)
 
 
-def _support_ids(c: FilteredComplex, v: int) -> tuple[str, ...]:
-    ids = []
-    while v:
-        i = (v & -v).bit_length() - 1
-        v &= v - 1
-        ids.append(c.generators[i].id)
-    return tuple(ids)
-
-
 def _graded_dims(c: FilteredComplex, table: dict[int, tuple[int, ...]]) -> GradedDims:
     dims = []
     reps = []
@@ -56,7 +47,7 @@ def _graded_dims(c: FilteredComplex, table: dict[int, tuple[int, ...]]) -> Grade
         if not vecs:
             continue
         dims.append((n, len(vecs)))
-        reps.append((n, tuple(_support_ids(c, v) for v in vecs)))
+        reps.append((n, tuple(c.support_ids(v) for v in vecs)))
     return GradedDims(tuple(dims), tuple(reps))
 
 

@@ -36,6 +36,15 @@ class ComplexFormatError(ValueError):
     """Structurally malformed complex/map/matching file."""
 
 
+class InternalError(AssertionError):
+    """A consistency check inside the engine failed: a bug, not bad input.
+    Names the page k, the cell (n, j) and the generator ids involved."""
+
+    def __init__(self, what: str, k: int, cell: tuple[int, int], ids: Iterable[str]):
+        self.k, self.cell, self.ids = k, cell, tuple(ids)
+        super().__init__(f"{what} (page {k}, cell (n, j) = {cell}, generators {list(self.ids)})")
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken invariant: the rule name, the ids involved, and detail."""
@@ -84,6 +93,15 @@ class FilteredComplex:
     def _positions(self) -> dict[str, int]:
         # computed once per complex; not a field, so equality and hashing ignore it
         return {g.id: i for i, g in enumerate(self.generators)}
+
+    def support_ids(self, v: int) -> tuple[str, ...]:
+        """Ids of the generators in the support of the bit vector v."""
+        ids = []
+        while v:
+            i = (v & -v).bit_length() - 1
+            v &= v - 1
+            ids.append(self.generators[i].id)
+        return tuple(ids)
 
     def grade(self, gid: str) -> int:
         return self.generators[self.index_of(gid)].maslov
@@ -261,11 +279,6 @@ def serialize_complex(c: FilteredComplex) -> str:
         "edges": [[a, b] for a, b in c.edges],
     }
     return json.dumps(data, indent=2) + "\n"
-
-
-def load_complex(path: str) -> FilteredComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex(fh.read())
 
 
 def validate(c: FilteredComplex) -> list[Violation]:

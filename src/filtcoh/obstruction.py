@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import FilteredComplex
-from .spectral import Page, _states_up_to, _differential_matrices, stabilization_bound
+from .spectral import Page, _ranks, _stable_states, _stage, stabilization_bound
 
 __all__ = [
     "LaurentPoly",
@@ -156,16 +156,12 @@ def check_page_recursion(c: FilteredComplex) -> list[RecursionViolation]:
     """Verify P(E^k) = P(E^{k+1}) + (1 + t^(-k*Sigma-1)) P(B^k) for every k
     up to stabilization, with B^k the image of d^k indexed by target grade."""
     sig = c.sigma_maslov
-    bound = stabilization_bound(c)
-    eng, states = _states_up_to(c, bound + 1)
+    eng, states = _stable_states(c)
     out = []
-    for k in range(1, bound + 1):
-        lhs = LaurentPoly({n: d for n, d in states[k].dims().items()})
-        nxt = LaurentPoly({n: d for n, d in states[k + 1].dims().items()})
-        mats = _differential_matrices(eng, states[k])
-        image = LaurentPoly(
-            {n + k * sig + 1: mats[n].rank() for n in mats if mats[n].rank() > 0}
-        )
+    for k in range(1, stabilization_bound(c) + 1):
+        lhs = LaurentPoly(_stage(states, k).dims())
+        nxt = LaurentPoly(_stage(states, k + 1).dims())
+        image = LaurentPoly({n + k * sig + 1: r for n, r in _ranks(eng, states, k).items()})
         rhs = nxt + image + image.shifted(-(k * sig + 1))
         if lhs != rhs:
             out.append(RecursionViolation(k, lhs, rhs))
@@ -452,7 +448,14 @@ def _top_down(tcoef: list[int], offsets: list[int]):
 def decomposition_search_colex(target: LaurentPoly, sigma: int, k: int) -> DecompositionResult:
     """Independent re-verification scan: same bounded feasibility problem,
     enumerated from the bottom exponent upward with the opposite variable
-    order inside each constraint."""
+    order inside each constraint.
+
+    At exponent e the scan splits the residual coefficient of t^e among the
+    open slots q_i(e), i from k down to 1, each capped by the target
+    coefficient at its far end, trying the larger values first; the last
+    slot takes what is left. Open choices sit on an explicit stack, so the
+    depth of the scan is not bounded by the interpreter's. ``nodes`` counts
+    one per exponent entered and one per value tried at a non-last slot."""
     _check_search_args(target, sigma, k)
     if target.is_zero():
         return DecompositionResult(sigma, k, target, tuple(LaurentPoly.zero() for _ in range(k)), 1)
@@ -462,6 +465,7 @@ def decomposition_search_colex(target: LaurentPoly, sigma: int, k: int) -> Decom
     tcoef = [target.coeff(e) for e in range(deg + 1)]
     q: list[dict[int, int]] = [dict() for _ in range(k)]
     nodes = 0
+    stack: list[list[int]] = []  # open choices [e, pos, value, left before pos]
 
     def residual(e: int) -> int:
         # q_i(e - offset_i) parts were chosen at constraint e - offset_i
@@ -472,44 +476,49 @@ def decomposition_search_colex(target: LaurentPoly, sigma: int, k: int) -> Decom
                 s -= q[i].get(x, 0)
         return s
 
-    def ascend(e: int) -> bool:
+    def open_slots(e: int) -> list[int]:
+        return [i for i in reversed(range(k)) if e <= deg_q[i]]
+
+    def place(e: int, pos: int, left: int) -> bool:
+        # the largest values from slot pos on; False if the last slot's cap is too small
         nonlocal nodes
-        nodes += 1
-        if e > deg:
-            return True
-        need = residual(e)
-        if need < 0:
+        slots = open_slots(e)
+        for p in range(pos, len(slots) - 1):
+            i = slots[p]
+            val = min(left, tcoef[e + offsets[i]])
+            nodes += 1
+            q[i][e] = val
+            stack.append([e, p, val, left])
+            left -= val
+        i = slots[-1]
+        if left > tcoef[e + offsets[i]]:
             return False
-        slots = [i for i in reversed(range(k)) if e <= deg_q[i]]
-        if not slots:
-            return need == 0 and ascend(e + 1)
+        q[i][e] = left
+        return True
 
-        def split(pos: int, left: int) -> bool:
-            nonlocal nodes
-            i = slots[pos]
-            cap = tcoef[e + offsets[i]]
-            if pos == len(slots) - 1:
-                if left > cap:
-                    return False
-                q[i][e] = left
-                if ascend(e + 1):
-                    return True
-                del q[i][e]
-                return False
-            for val in range(min(left, cap), -1, -1):
-                nodes += 1
-                q[i][e] = val
-                if split(pos + 1, left - val):
-                    return True
-            del q[i][e]
-            return False
-
-        return split(0, need)
-
-    if ascend(0):
-        witness = tuple(LaurentPoly(qi) for qi in q)
-        return DecompositionResult(sigma, k, target, witness, nodes)
-    return DecompositionResult(sigma, k, target, None, nodes)
+    e, ok = 0, True
+    while True:
+        if ok:
+            nodes += 1
+            if e > deg:
+                witness = tuple(LaurentPoly(qi) for qi in q)
+                return DecompositionResult(sigma, k, target, witness, nodes)
+            need = residual(e)
+            ok = need >= 0 and (place(e, 0, need) if e <= deg_q[0] else need == 0)
+        else:
+            # the innermost open choice with a smaller value still to try
+            while stack and stack[-1][2] == 0:
+                stack.pop()
+            if not stack:
+                return DecompositionResult(sigma, k, target, None, nodes)
+            choice = stack[-1]
+            choice[2] -= 1
+            nodes += 1
+            e, pos, val, left = choice
+            q[open_slots(e)[pos]][e] = val
+            ok = place(e, pos + 1, left - val)
+        if ok:
+            e += 1
 
 
 def alternating_binomial_sum(m: int, n_top: int) -> int:
@@ -534,13 +543,12 @@ def rank_balance(c: FilteredComplex) -> bool:
     sig = c.sigma_maslov
     if sig % 2 != 0:
         raise PreconditionError(f"rank balance needs an even Maslov period, got {sig}")
-    bound = stabilization_bound(c)
-    eng, states = _states_up_to(c, bound)
-    if states[bound].dims():
+    _, states = _stable_states(c)
+    if states[-1].dims():
         raise PreconditionError("rank balance needs a vanishing limit page (acyclic total complex)")
     total = 0
-    for k in range(1, bound + 1):
-        for n, d in states[k].dims().items():
+    for k in range(1, stabilization_bound(c) + 1):
+        for n, d in _stage(states, k).dims().items():
             total += (-1) ** (n % sig) * d
     return total == 0
 

@@ -23,13 +23,22 @@ two independent ways:
 The differential d^k raises the integer grade by k*Sigma + 1 and the residue
 class by 1. Pages are reported per cell (n, j) with n = j (mod Sigma); cells
 at unoccupied grades are zero and omitted.
+
+Readers of page dimensions and differential ranks (``k_stable``,
+``page_rows``, ``oracle_comparison`` and the checks in ``obstruction`` and
+``chain_maps``) run the recursion once, through ``_stable_states``, and stop
+it at the first page E^s (s >= 1) with no two nonzero cells k'*Sigma + 1
+apart for any k' >= s. Then d^s and every later differential vanish for
+degree reasons, so E^s = E^infty and each later page is a copy of E^s with
+d^k = 0. ``page``, ``differential`` and ``einfty`` expose representatives
+and denominators, which keep changing on stable pages, so they stay literal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import FilteredComplex
+from .complexes import FilteredComplex, InternalError
 from .gf2 import BitMatrix, Echelon, Subspace, column_map, combine, coset_solver, preimage, subquotient
 
 __all__ = [
@@ -42,6 +51,8 @@ __all__ = [
     "page_oracle",
     "stabilization_bound",
     "pages_tsv",
+    "page_rows",
+    "oracle_comparison",
 ]
 
 
@@ -98,6 +109,8 @@ class _Engine:
         self._mask_cache: dict[int, int] = {}
         self._f_cache: dict[int, Subspace] = {}
         self._fimg_cache: dict[int, Subspace] = {}
+        self._z_cache: dict[tuple[int, int], Subspace] = {}
+        self._oracle_cache: dict[tuple[int, int], tuple[Subspace, Subspace]] = {}
 
     def filtration_mask(self, n: int) -> int:
         """Bit mask of F_n: grades >= n in the residue class of n (any integer n)."""
@@ -132,11 +145,16 @@ class _Engine:
 
     def cocycles(self, n: int, depth: int) -> Subspace:
         """Z-space { x in F_n : delta x in F_{n + depth} }."""
+        cached = self._z_cache.get((n, depth))
+        if cached is not None:
+            return cached
         outside = ~self.filtration_mask(n + depth)
         apply_delta = self.apply_delta
-        return preimage(
+        sub = preimage(
             lambda x: apply_delta(x) & outside, self.filtration(n), Subspace.zero(self.n_amb)
         )
+        self._z_cache[(n, depth)] = sub
+        return sub
 
     def boundary_part(self, source: int, target: int) -> Subspace:
         """delta(F_source) restricted to F_target.
@@ -178,6 +196,7 @@ class _State:
         self.s = s
         self.reps = reps
         self.denom = denom
+        self.matrices: dict[int, BitMatrix] | None = None  # d^s, filled on first use
 
     def dims(self) -> dict[int, int]:
         return {n: len(r) for n, r in self.reps.items() if r}
@@ -201,6 +220,8 @@ def _cell_echelon(eng: _Engine, state: _State, n: int) -> Echelon:
 
 def _differential_matrices(eng: _Engine, state: _State) -> dict[int, BitMatrix]:
     """Matrix of d^s out of each occupied cell, in coset-basis coordinates."""
+    if state.matrices is not None:
+        return state.matrices
     deg = state.s * eng.sig + 1
     out: dict[int, BitMatrix] = {}
     for n in eng.grades:
@@ -217,19 +238,23 @@ def _differential_matrices(eng: _Engine, state: _State) -> dict[int, BitMatrix]:
         for v in src:
             sol = coords.solve(eng.apply_delta(v))
             if sol is None:
-                raise AssertionError(
-                    "differential image escaped the target cell; page recursion is inconsistent"
+                raise InternalError(
+                    f"d^{state.s} escaped the target cell {(n + deg, (n + deg) % eng.sig)}; "
+                    "page recursion is inconsistent",
+                    state.s, (n, n % eng.sig), eng.c.support_ids(v),
                 )
             columns.append(sol)
         out[n] = BitMatrix.from_columns(len(tgt), columns)
+    state.matrices = out
     return out
 
 
-def _repairer(eng: _Engine, denom: Subspace, depth_grade: int):
-    """Function correcting v by a denominator element so delta(v) lands in
-    F_depth_grade. Each denominator basis vector b is inserted as delta(b)
-    mod F_depth_grade tagged b, so a solution's tag is the correction."""
-    outside = ~eng.filtration_mask(depth_grade)
+def _repairer(eng: _Engine, denom: Subspace, k: int, n: int):
+    """Function correcting a stage-k representative v of cell n by a
+    denominator element so that delta(v) lands in F_{n + k*Sigma + 1}. Each
+    denominator basis vector b is inserted as delta(b) mod that level tagged
+    b, so a solution's tag is the correction."""
+    outside = ~eng.filtration_mask(n + k * eng.sig + 1)
     apply_delta = eng.apply_delta
     solver = None
 
@@ -244,7 +269,10 @@ def _repairer(eng: _Engine, denom: Subspace, depth_grade: int):
                 solver.relate(apply_delta(b) & outside, b)
         fix = solver.solve(w)
         if fix is None:
-            raise AssertionError("no deep representative exists; page recursion is inconsistent")
+            raise InternalError(
+                "no deep representative exists; page recursion is inconsistent",
+                k, (n, n % eng.sig), eng.c.support_ids(v),
+            )
         return v ^ fix
 
     return repair
@@ -272,7 +300,7 @@ def _advance(eng: _Engine, state: _State) -> _State:
         picked = []
         src = state.reps[n]
         if src:
-            repair = _repairer(eng, state.denom[n], n + (s + 1) * eng.sig + 1)
+            repair = _repairer(eng, state.denom[n], s + 1, n)
             for cmb in matrices[n].kernel_basis().basis:
                 v = repair(combine(src, cmb))
                 if cur.add(v):
@@ -287,6 +315,60 @@ def _states_up_to(c: FilteredComplex, k: int) -> tuple[_Engine, list[_State]]:
     for _ in range(k):
         states.append(_advance(eng, states[-1]))
     return eng, states
+
+
+def _degenerate(eng: _Engine, state: _State) -> bool:
+    """Whether E^s = E^infty for degree reasons, s = state.s: no two nonzero
+    cells of E^s lie k'*Sigma + 1 apart for any k' >= s. Then d^s vanishes,
+    E^{s+1} has the same nonzero cells, and so on for every later page."""
+    live = [n for n in eng.grades if state.reps[n]]
+    occupied = set(live)
+    first = state.s * eng.sig + 1
+    for n in live:
+        for m in range(n + first, live[-1] + 1, eng.sig):
+            if m in occupied:
+                return False
+    return True
+
+
+def _stable_states(c: FilteredComplex, cap: int | None = None) -> tuple[_Engine, list[_State]]:
+    """States 0..s of the page recursion, for the least s >= 1 at which
+    `_degenerate` holds (s <= stabilization_bound, where no two cells are far
+    enough apart), or for s = cap when that comes first. Past a degenerate
+    stop every page is a copy of E^s with d^k = 0: see `_stage` and `_ranks`."""
+    eng = _Engine(c)
+    states = [_initial_state(eng)]
+    states.append(_advance(eng, states[0]))
+    while states[-1].s != cap and not _degenerate(eng, states[-1]):
+        states.append(_advance(eng, states[-1]))
+    return eng, states
+
+
+def _stable_pair(a: FilteredComplex, b: FilteredComplex):
+    """`_stable_states` of two complexes, both advanced to the later of
+    their two stops, so that stage k means the same page on either side.
+    Equal complexes share one pass."""
+    if a == b:
+        same = _stable_states(a)
+        return same, same
+    pair = (_stable_states(a), _stable_states(b))
+    stop = max(len(states) for _, states in pair)
+    for eng, states in pair:
+        while len(states) < stop:
+            states.append(_advance(eng, states[-1]))
+    return pair
+
+
+def _stage(states: list[_State], k: int) -> _State:
+    """The state presenting E^k, from `_stable_states`."""
+    return states[min(k, len(states) - 1)]
+
+
+def _ranks(eng: _Engine, states: list[_State], k: int) -> dict[int, int]:
+    """rank of d^k out of each occupied grade, from `_stable_states`."""
+    if k >= len(states):
+        return dict.fromkeys(eng.grades, 0)
+    return {n: m.rank() for n, m in _differential_matrices(eng, states[k]).items()}
 
 
 def _page_from_state(eng: _Engine, state: _State) -> Page:
@@ -316,14 +398,10 @@ def differential(c: FilteredComplex, k: int) -> dict[tuple[int, int], BitMatrix]
 
 def k_stable(c: FilteredComplex) -> int:
     """Least k >= 1 with E^k = E^infty (page dimensions are nonincreasing
-    in k cellwise, so equality with the bound page pins the limit)."""
-    bound = stabilization_bound(c)
-    eng, states = _states_up_to(c, bound)
-    final = states[bound].dims()
-    for k in range(1, bound + 1):
-        if states[k].dims() == final:
-            return k
-    return bound
+    in k cellwise, so equality with the limit page pins the index)."""
+    _, states = _stable_states(c)
+    final = states[-1].dims()
+    return next(k for k in range(1, len(states)) if states[k].dims() == final)
 
 
 def einfty(c: FilteredComplex) -> Page:
@@ -335,18 +413,24 @@ def einfty(c: FilteredComplex) -> Page:
 
 
 def _oracle_numerator_denominator(eng: _Engine, n: int, k: int) -> tuple[Subspace, Subspace]:
-    sig = eng.sig
-    z = eng.cocycles(n, k * sig + 1)
-    z_above = eng.cocycles(n + sig, (k - 1) * sig + 1)
-    bdry = eng.boundary_part(n - (k - 1) * sig - 1, n)
-    return z, z_above + bdry
+    pair = eng._oracle_cache.get((n, k))
+    if pair is None:
+        sig = eng.sig
+        z = eng.cocycles(n, k * sig + 1)
+        z_above = eng.cocycles(n + sig, (k - 1) * sig + 1)
+        bdry = eng.boundary_part(n - (k - 1) * sig - 1, n)
+        pair = eng._oracle_cache[(n, k)] = (z, z_above + bdry)
+    return pair
 
 
 def page_oracle(c: FilteredComplex, k: int) -> Page:
     """Page E^k from the explicit subquotient formulas; no recursion."""
     if k < 1:
         raise ValueError("page index must be >= 1")
-    eng = _Engine(c)
+    return _oracle_page(_Engine(c), k)
+
+
+def _oracle_page(eng: _Engine, k: int) -> Page:
     cells = {}
     for n in eng.grades:
         j = n % eng.sig
@@ -360,7 +444,10 @@ def oracle_differential_ranks(c: FilteredComplex, k: int) -> dict[tuple[int, int
     """rank of d^k out of each cell, from the formula presentation only."""
     if k < 1:
         raise ValueError("differential index must be >= 1")
-    eng = _Engine(c)
+    return _oracle_ranks(_Engine(c), k)
+
+
+def _oracle_ranks(eng: _Engine, k: int) -> dict[tuple[int, int], int]:
     deg = k * eng.sig + 1
     out = {}
     for n in eng.grades:
@@ -379,17 +466,44 @@ def oracle_differential_ranks(c: FilteredComplex, k: int) -> dict[tuple[int, int
 # -- reporting ---------------------------------------------------------------
 
 
-def pages_tsv(c: FilteredComplex, max_k: int) -> str:
-    """TSV page dump: one row per nonzero cell, ordered by (k, n, j)."""
+def oracle_comparison(c: FilteredComplex, max_k: int):
+    """Per k = 1..max_k: (k, recursion dims, oracle dims, recursion ranks of
+    d^k, oracle ranks of d^k), each a dict keyed by cell (n, j) holding the
+    nonzero entries only. One recursion pass serves every k; the oracle
+    shares nothing with it but an engine of its own, and evaluates every k,
+    so it also checks where the recursion stopped."""
+    if max_k < 1:
+        return []
+    eng, states = _stable_states(c, max_k)
+    oracle_eng = _Engine(c)
+    out = []
+    for k in range(1, max_k + 1):
+        fast = {(n, n % eng.sig): d for n, d in _stage(states, k).dims().items()}
+        rank_fast = {(n, n % eng.sig): r for n, r in _ranks(eng, states, k).items() if r}
+        slow = _oracle_page(oracle_eng, k).dims()
+        rank_slow = {key: r for key, r in _oracle_ranks(oracle_eng, k).items() if r}
+        out.append((k, fast, slow, rank_fast, rank_slow))
+    return out
+
+
+def page_rows(c: FilteredComplex, max_k: int) -> list[tuple[int, int, int, int, int]]:
+    """(k, n, j, dim, rank of d^k) for every nonzero cell of E^1..E^max_k,
+    ordered by (k, n, j)."""
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    eng, states = _states_up_to(c, max_k)
-    lines = ["k\tn\tj\tdim\trank_dk"]
+    eng, states = _stable_states(c, max_k)
+    rows = []
     for k in range(1, max_k + 1):
-        mats = _differential_matrices(eng, states[k])
+        reps = _stage(states, k).reps
+        ranks = _ranks(eng, states, k)
         for n in eng.grades:
-            dim = len(states[k].reps[n])
-            if dim == 0:
-                continue
-            lines.append(f"{k}\t{n}\t{n % eng.sig}\t{dim}\t{mats[n].rank()}")
+            if reps[n]:
+                rows.append((k, n, n % eng.sig, len(reps[n]), ranks[n]))
+    return rows
+
+
+def pages_tsv(c: FilteredComplex, max_k: int) -> str:
+    """TSV page dump: one row per nonzero cell, ordered by (k, n, j)."""
+    lines = ["k\tn\tj\tdim\trank_dk"]
+    lines.extend("\t".join(map(str, row)) for row in page_rows(c, max_k))
     return "\n".join(lines) + "\n"

@@ -120,3 +120,14 @@ def hall_violated(target: dict[int, int], sigma: int, k: int, exponents) -> bool
     s = set(exponents)
     nbrs = {x + sgn * (i * sigma + 1) for x in s for i in range(1, k + 1) for sgn in (1, -1)}
     return sum(target.get(x, 0) for x in s) > sum(target.get(y, 0) for y in nbrs)
+
+
+def quantum_matching(m: int) -> dict:
+    """Matching file of the perfect matching S <-> S + {1} over S in
+    {2..m}, with window shift (|S| + sum S) mod 3: on the quantum torus the
+    last nonzero differential is d^2, so k(L) = 3."""
+    entries = []
+    for mask in range(1 << (m - 1)):
+        s = [i + 2 for i in range(m - 1) if (mask >> i) & 1]
+        entries.append({"from": s, "to": [1] + s, "shift": (len(s) + sum(s)) % 3})
+    return {"matching": entries}

@@ -349,3 +349,41 @@ def test_verb_coverage_table():
     # every spec operation is mapped to exactly one verb and exists
     assert set(OP_TO_VERB) == set(surfaces)
     assert all(callable(fn) for fn in surfaces.values())
+
+
+@pytest.fixture
+def quantum_file(tmp_path):
+    # Sigma = 4 draws no period warning, so stderr carries only the verdict
+    q = morse.quantum_perturbed_torus(
+        TorusSpec(m=2, sigma_maslov=4),
+        [morse.QuantumEdge((), (1, 2), 1), morse.QuantumEdge((1,), (2,), 1)],
+    )
+    path = tmp_path / "quantum2.json"
+    path.write_text(serialize_complex(q))
+    return str(path)
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, quantum_file):
+    class Lost:
+        def solve(self, v):
+            return None
+
+    monkeypatch.setattr(spectral, "coset_solver", lambda reps, denom: Lost())
+    code, out, err = run_cli(capsys, "kl", quantum_file)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: InternalError: d^1 escaped the target cell")
+    assert "page 1, cell (n, j) = (-2, 2)" in err and "'x00'" in err
+    # library callers still see an AssertionError
+    with pytest.raises(AssertionError, match="page recursion is inconsistent"):
+        spectral.k_stable(complexes.parse_complex(open(quantum_file).read()))
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch, quantum_file):
+    def boom(c):
+        raise RuntimeError("lost cell\n  second line")
+
+    monkeypatch.setattr(spectral, "k_stable", boom)
+    code, out, err = run_cli(capsys, "kl", quantum_file)
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: lost cell second line\n"

@@ -129,12 +129,67 @@ def decomposition_problems(draw):
     return target, sigma, k
 
 
+def recursive_colex(target: LaurentPoly, sigma: int, k: int):
+    """The colex scan as it was first written, one recursive call per
+    exponent and per split slot: (witness or None, nodes). The iterative
+    scan must keep its visiting order, so its witnesses and node counts."""
+    if target.is_zero():
+        return tuple(LaurentPoly.zero() for _ in range(k)), 1
+    deg = target.max_exp
+    offsets = [i * sigma + 1 for i in range(1, k + 1)]
+    deg_q = [deg - off for off in offsets]
+    tcoef = [target.coeff(e) for e in range(deg + 1)]
+    q = [dict() for _ in range(k)]
+    nodes = 0
+
+    def ascend(e):
+        nonlocal nodes
+        nodes += 1
+        if e > deg:
+            return True
+        need = tcoef[e] - sum(
+            q[i].get(e - offsets[i], 0) for i in range(k) if 0 <= e - offsets[i] <= deg_q[i]
+        )
+        if need < 0:
+            return False
+        slots = [i for i in reversed(range(k)) if e <= deg_q[i]]
+        if not slots:
+            return need == 0 and ascend(e + 1)
+
+        def split(pos, left):
+            nonlocal nodes
+            i = slots[pos]
+            cap = tcoef[e + offsets[i]]
+            if pos == len(slots) - 1:
+                if left > cap:
+                    return False
+                q[i][e] = left
+                if ascend(e + 1):
+                    return True
+                del q[i][e]
+                return False
+            for val in range(min(left, cap), -1, -1):
+                nodes += 1
+                q[i][e] = val
+                if split(pos + 1, left - val):
+                    return True
+            del q[i][e]
+            return False
+
+        return split(0, need)
+
+    found = ascend(0)
+    return (tuple(LaurentPoly(qi) for qi in q) if found else None), nodes
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(decomposition_problems())
 def test_decomposition_search_matches_colex_scan(problem):
     target, sigma, k = problem
     result = decomposition_search(target, sigma, k)
-    assert result.found == decomposition_search_colex(target, sigma, k).found
+    scan = decomposition_search_colex(target, sigma, k)
+    assert result.found == scan.found
+    assert (scan.witness, scan.nodes) == recursive_colex(target, sigma, k)
     if k == 1 or sigma % 2 == 0:
         assert result.nodes == 0  # decided by the chains or the flow alone
     if result.found:
@@ -145,6 +200,13 @@ def test_decomposition_search_matches_colex_scan(problem):
     else:
         # only the top-down search may say "none" without a certificate
         assert sigma % 2 == 1 and k >= 2 and result.nodes > 0
+
+
+def test_colex_scan_has_no_depth_limit():
+    # one exponent per loop step, not per stack frame: 1 + t^4 does not
+    # divide (1+t)^1500 with a nonnegative quotient
+    result = decomposition_search_colex(LaurentPoly.binomial_power(1500), 3, 1)
+    assert not result.found and result.nodes > 0
 
 
 def test_decomposition_odd_cycle_reaches_search():

@@ -42,12 +42,7 @@ class FilteredMap:
     degree: int = 0
 
     def matrix_columns(self) -> list[int]:
-        src_idx = self.source._index()
-        tgt_idx = self.target._index()
-        cols = [0] * len(self.source.generators)
-        for a, b in self.entries:
-            cols[src_idx[a]] ^= 1 << tgt_idx[b]
-        return cols
+        return self.source.columns(self.entries, self.target)
 
     @cached_property
     def apply(self):
@@ -177,12 +172,11 @@ def verify_homotopy(f: FilteredMap, g: FilteredMap, h: FilteredMap) -> list[Viol
         return out
     fc, gc, hc = f.matrix_columns(), g.matrix_columns(), h.matrix_columns()
     dsrc = f.source.delta_columns()
-    apply_h = column_map(hc)
     apply_dtgt = column_map(f.target.delta_columns())
     failing = []
     for i, gen in enumerate(f.source.generators):
         lhs = fc[i] ^ gc[i]
-        rhs = apply_h(dsrc[i]) ^ apply_dtgt(hc[i])
+        rhs = h.apply(dsrc[i]) ^ apply_dtgt(hc[i])
         if lhs != rhs:
             failing.append((gen.maslov, gen.id))
     if failing:
@@ -269,18 +263,13 @@ def compose(second: FilteredMap, first: FilteredMap) -> FilteredMap:
     """second after first, as an entries list (mod-2 accumulated)."""
     if first.target != second.source:
         raise ValueError("composition mismatch: first.target != second.source")
-    cols_first = first.matrix_columns()
-    apply_second = column_map(second.matrix_columns())
-    entries = []
-    tgt_ids = [g.id for g in second.target.generators]
-    for i, g in enumerate(first.source.generators):
-        acc = apply_second(cols_first[i])
-        while acc:
-            t = (acc & -acc).bit_length() - 1
-            acc &= acc - 1
-            entries.append((g.id, tgt_ids[t]))
+    entries = tuple(
+        (g.id, t)
+        for g, col in zip(first.source.generators, first.matrix_columns())
+        for t in second.target.support_ids(second.apply(col))
+    )
     return FilteredMap(
-        first.source, second.target, tuple(entries), first.degree + second.degree
+        first.source, second.target, entries, first.degree + second.degree
     )
 
 
@@ -288,13 +277,9 @@ def map_sum(f: FilteredMap, g: FilteredMap) -> FilteredMap:
     """f + g over GF(2) as an entries list."""
     if f.source != g.source or f.target != g.target or f.degree != g.degree:
         raise ValueError("summands must share source, target, and degree")
-    fc, gc = f.matrix_columns(), g.matrix_columns()
-    tgt_ids = [x.id for x in f.target.generators]
-    entries = []
-    for i, gen in enumerate(f.source.generators):
-        v = fc[i] ^ gc[i]
-        while v:
-            t = (v & -v).bit_length() - 1
-            v &= v - 1
-            entries.append((gen.id, tgt_ids[t]))
-    return FilteredMap(f.source, f.target, tuple(entries), f.degree)
+    entries = tuple(
+        (gen.id, t)
+        for gen, a, b in zip(f.source.generators, f.matrix_columns(), g.matrix_columns())
+        for t in f.target.support_ids(a ^ b)
+    )
+    return FilteredMap(f.source, f.target, entries, f.degree)

@@ -61,12 +61,6 @@ OP_TO_VERB = {
     "quantum_perturbed_torus": "gen",
 }
 
-VERBS = (
-    "validate", "cohom", "hf", "pages", "kl", "oracle", "poly", "recursion",
-    "decomp", "binom", "audin", "maslov", "mapcheck", "gen",
-)
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -81,6 +75,16 @@ def _load(path: str) -> FilteredComplex:
     c = parse_complex(_read_text(path))
     for w in complex_warnings(c):
         print(f"warning: {w}", file=sys.stderr)
+    return c
+
+
+def _load_valid(path: str) -> FilteredComplex:
+    c = _load(path)
+    problems = validate(c)
+    if problems:
+        raise ComplexFormatError(
+            "complex fails validation: " + "; ".join(v.rule for v in problems)
+        )
     return c
 
 
@@ -99,14 +103,6 @@ def _emit(data) -> None:
     print(text)
 
 
-def _require_valid(c: FilteredComplex) -> None:
-    problems = validate(c)
-    if problems:
-        raise ComplexFormatError(
-            "complex fails validation: " + "; ".join(v.rule for v in problems)
-        )
-
-
 def _cmd_validate(args) -> int:
     c = _load(args.complex)
     problems = validate(c)
@@ -115,8 +111,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_cohom(args) -> int:
-    c = _load(args.complex)
-    _require_valid(c)
+    c = _load_valid(args.complex)
     out = cohomology.integer_graded_cohomology(c).as_dict()
     if args.pieces:
         out["pieces"] = [
@@ -128,8 +123,7 @@ def _cmd_cohom(args) -> int:
 
 
 def _cmd_hf(args) -> int:
-    c = _load(args.complex)
-    _require_valid(c)
+    c = _load_valid(args.complex)
     hf = cohomology.zsigma_cohomology(c)
     filt = cohomology.hf_filtration(c)
     _emit({"hf": hf.as_dict(), **filt.as_dict()})
@@ -137,8 +131,7 @@ def _cmd_hf(args) -> int:
 
 
 def _cmd_pages(args) -> int:
-    c = _load(args.complex)
-    _require_valid(c)
+    c = _load_valid(args.complex)
     if args.einfty:
         limit = spectral.einfty(c)
         _emit({
@@ -156,15 +149,13 @@ def _cmd_pages(args) -> int:
 
 
 def _cmd_kl(args) -> int:
-    c = _load(args.complex)
-    _require_valid(c)
+    c = _load_valid(args.complex)
     _emit({"k_stable": spectral.k_stable(c)})
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    c = _load(args.complex)
-    _require_valid(c)
+    c = _load_valid(args.complex)
     bound = args.max_k if args.max_k is not None else spectral.stabilization_bound(c)
     mismatches = []
     checked = 0
@@ -183,8 +174,7 @@ def _cells(d: dict) -> list:
 
 
 def _cmd_poly(args) -> int:
-    c = _load(args.complex)
-    _require_valid(c)
+    c = _load_valid(args.complex)
     p = spectral.page(c, args.k)
     poly = obstruction.poincare_laurent(p)
     _emit({"k": args.k, "poly": poly.terms(), "pretty": str(poly)})
@@ -192,8 +182,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_recursion(args) -> int:
-    c = _load(args.complex)
-    _require_valid(c)
+    c = _load_valid(args.complex)
     if args.balance:
         try:
             ok = obstruction.rank_balance(c)
@@ -207,12 +196,25 @@ def _cmd_recursion(args) -> int:
     return 1 if problems else 0
 
 
+def _decomp_target(args) -> obstruction.LaurentPoly:
+    """The target of --m (at least 0), or of --target: a JSON list of
+    [exponent, coefficient] integer pairs with distinct exponents."""
+    if args.target is None:
+        if args.m < 0:
+            raise ValueError("--m must be >= 0")
+        return obstruction.LaurentPoly.binomial_power(args.m)
+    terms = json.loads(args.target)
+    if not isinstance(terms, list) or not all(
+        isinstance(t, list) and len(t) == 2 and all(type(x) is int for x in t) for t in terms
+    ):
+        raise ValueError("--target must be a JSON list of [exponent, coefficient] integer pairs")
+    if len({e for e, _ in terms}) != len(terms):
+        raise ValueError("--target lists an exponent twice")
+    return obstruction.LaurentPoly(dict(terms))
+
+
 def _cmd_decomp(args) -> int:
-    if args.target is not None:
-        terms = json.loads(args.target)
-        target = obstruction.LaurentPoly({int(e): int(cf) for e, cf in terms})
-    else:
-        target = obstruction.LaurentPoly.binomial_power(args.m)
+    target = _decomp_target(args)
     result = obstruction.decomposition_search(target, args.sigma, args.k)
     out = {
         "target": target.terms(),
@@ -303,10 +305,9 @@ def _cmd_maslov(args) -> int:
 
 
 def _cmd_mapcheck(args) -> int:
-    source = _load(args.source)
-    target = _load(args.target)
-    _require_valid(source)
-    _require_valid(target)
+    source = _load_valid(args.source)
+    # one load when both ends are the same file (or both read stdin)
+    target = source if args.target == args.source else _load_valid(args.target)
     f = chain_maps.parse_map(_read_text(args.map), source, target)
     problems = chain_maps.verify_cochain_map(f)
     out = {"violations": [v.as_dict() for v in problems]}
@@ -453,6 +454,8 @@ _DISPATCH = {
     "mapcheck": _cmd_mapcheck,
     "gen": _cmd_gen,
 }
+
+VERBS = tuple(_DISPATCH)
 
 
 def run(argv) -> int:

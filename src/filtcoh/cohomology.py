@@ -51,24 +51,20 @@ def _graded_dims(c: FilteredComplex, table: dict[int, tuple[int, ...]]) -> Grade
     return GradedDims(tuple(dims), tuple(reps))
 
 
-def _mask(c: FilteredComplex, keep) -> int:
-    """Bit mask of the generators whose grade satisfies ``keep``."""
-    mask = 0
-    for i, g in enumerate(c.generators):
-        if keep(g.maslov):
-            mask |= 1 << i
-    return mask
+def _kernel_image(c: FilteredComplex, apply, dom_mask: int, prev_mask: int):
+    """(kernel of the linear map ``apply`` on the span of the generators in
+    dom_mask, image of the span of those in prev_mask)."""
+    n_amb = len(c.generators)
+    ker = preimage(apply, Subspace.coordinate(n_amb, dom_mask), Subspace.zero(n_amb))
+    return ker, image(apply, Subspace.coordinate(n_amb, prev_mask), n_amb)
 
 
 def integer_graded_cohomology(c: FilteredComplex) -> GradedDims:
     """Cohomology of the shift-0 differential, grade by grade."""
-    n_amb = len(c.generators)
     apply = column_map(c.shift0_columns())
-    zero = Subspace.zero(n_amb)
     table: dict[int, tuple[int, ...]] = {}
     for n in c.occupied_grades():
-        ker = preimage(apply, Subspace.coordinate(n_amb, _mask(c, lambda g: g == n)), zero)
-        img = image(apply, Subspace.coordinate(n_amb, _mask(c, lambda g: g == n - 1)), n_amb)
+        ker, img = _kernel_image(c, apply, c.grade_mask(n), c.grade_mask(n - 1))
         _, reps = subquotient(ker, img)
         table[n] = reps
     return _graded_dims(c, table)
@@ -76,17 +72,19 @@ def integer_graded_cohomology(c: FilteredComplex) -> GradedDims:
 
 def _class_cocycles(c: FilteredComplex):
     """Per occupied residue class j: (j, cocycles of class j, coboundaries
-    from class j - 1) of the total coboundary."""
-    n_amb = len(c.generators)
+    from class j - 1) of the total coboundary. A class is the level F_n of
+    any n of that class at or below the lowest grade."""
+    grades = c.occupied_grades()
+    if not grades:
+        return
     sig = c.sigma_maslov
     apply = column_map(c.delta_columns())
-    zero = Subspace.zero(n_amb)
     for j in range(sig):
-        dom = Subspace.coordinate(n_amb, _mask(c, lambda g: g % sig == j))
-        if dom.dim == 0:
-            continue
-        prev = Subspace.coordinate(n_amb, _mask(c, lambda g: g % sig == (j - 1) % sig))
-        yield j, preimage(apply, dom, zero), image(apply, prev, n_amb)
+        n = grades[0] - (grades[0] - j) % sig
+        dom = c.filtration_mask(n)
+        if dom:
+            ker, img = _kernel_image(c, apply, dom, c.filtration_mask(n - 1))
+            yield j, ker, img
 
 
 def zsigma_cohomology(c: FilteredComplex) -> GradedDims:
@@ -128,10 +126,9 @@ def hf_filtration(c: FilteredComplex) -> HFFiltration:
     sig = c.sigma_maslov
     chains = []
     for j, ker, img in _class_cocycles(c):
-        levels = sorted({g.maslov for g in c.generators if g.maslov % sig == j})
         chain = []
-        for n in levels:
-            ker_n = ker.within(_mask(c, lambda g: g % sig == j and g >= n))
+        for n in (n for n in c.occupied_grades() if n % sig == j):
+            ker_n = ker.within(c.filtration_mask(n))
             img_n = img.intersection(ker_n)
             chain.append((n, ker_n.dim - img_n.dim))
         chains.append((j, tuple(chain)))

@@ -94,6 +94,10 @@ class FilteredComplex:
         # computed once per complex; not a field, so equality and hashing ignore it
         return {g.id: i for i, g in enumerate(self.generators)}
 
+    # The bit encoding of the generators is owned here: bit i of a vector is
+    # generator i in storage order. Other modules build and read vectors only
+    # through columns, grade_mask, filtration_mask and support_ids.
+
     def support_ids(self, v: int) -> tuple[str, ...]:
         """Ids of the generators in the support of the bit vector v."""
         ids = []
@@ -106,12 +110,6 @@ class FilteredComplex:
     def grade(self, gid: str) -> int:
         return self.generators[self.index_of(gid)].maslov
 
-    def edge_shift(self, edge: tuple[str, str]) -> Fraction:
-        """Window shift (mu(to) - mu(from) - 1) / Sigma of a single edge."""
-        idx = self._index()
-        jump = self.generators[idx[edge[1]]].maslov - self.generators[idx[edge[0]]].maslov
-        return Fraction(jump - 1, self.sigma_maslov)
-
     def occupied_grades(self) -> tuple[int, ...]:
         return tuple(sorted({g.maslov for g in self.generators}))
 
@@ -122,23 +120,50 @@ class FilteredComplex:
             out.setdefault(g.maslov, []).append(i)
         return out
 
+    @cached_property
+    def _grade_masks(self) -> dict[int, int]:
+        return {n: sum(1 << i for i in members) for n, members in self.grade_members().items()}
+
+    @cached_property
+    def _filtration_masks(self) -> dict[int, int]:
+        return {}
+
+    def grade_mask(self, n: int) -> int:
+        """Bit mask of the generators at grade n (0 when n is unoccupied)."""
+        return self._grade_masks.get(n, 0)
+
+    def filtration_mask(self, n: int) -> int:
+        """Bit mask of F_n: grades >= n in the residue class of n (any integer n)."""
+        masks = self._filtration_masks
+        mask = masks.get(n)
+        if mask is None:
+            sig = self.sigma_maslov
+            mask = masks[n] = sum(
+                m for g, m in self._grade_masks.items() if g >= n and (g - n) % sig == 0
+            )
+        return mask
+
+    def columns(self, pairs: Iterable[tuple[str, str]],
+                target: FilteredComplex | None = None) -> list[int]:
+        """Columns of the GF(2) map sending generator a to the sum of the b
+        with (a, b) in ``pairs``, a pair listed twice cancelling: one column
+        per generator of this complex, over the generators of ``target``
+        (this complex by default)."""
+        src = self._index()
+        tgt = src if target is None else target._index()
+        cols = [0] * len(self.generators)
+        for a, b in pairs:
+            cols[src[a]] ^= 1 << tgt[b]
+        return cols
+
     def delta_columns(self) -> list[int]:
         """Total coboundary: bitmask of targets per generator index."""
-        idx = self._index()
-        cols = [0] * len(self.generators)
-        for a, b in self.edges:
-            cols[idx[a]] ^= 1 << idx[b]
-        return cols
+        return self.columns(self.edges)
 
     def shift0_columns(self) -> list[int]:
         """Shift-0 part of the coboundary (the integer-graded differential)."""
-        idx = self._index()
-        cols = [0] * len(self.generators)
-        for a, b in self.edges:
-            ia, ib = idx[a], idx[b]
-            if self.generators[ib].maslov - self.generators[ia].maslov == 1:
-                cols[ia] ^= 1 << ib
-        return cols
+        grade = {g.id: g.maslov for g in self.generators}
+        return self.columns((a, b) for a, b in self.edges if grade[b] - grade[a] == 1)
 
 
 def as_fraction(value: RationalLike, where: str = "value") -> Fraction:
@@ -302,16 +327,17 @@ def validate(c: FilteredComplex) -> list[Violation]:
         seen.add(gid)
     if len(seen) != len(ids):
         return out
-    index = {g.id: i for i, g in enumerate(c.generators)}
+    index = c._index()
 
     if c.lam > 0:
+        top = c.r + sigma
         for g in c.generators:
-            if not (c.r < g.action < c.r + sigma):
+            if not (c.r < g.action < top):
                 out.append(
                     Violation(
                         "action-window",
                         (g.id,),
-                        f"action {g.action} outside the open window ({c.r}, {c.r + sigma})",
+                        f"action {g.action} outside the open window ({c.r}, {top})",
                     )
                 )
 
@@ -359,11 +385,10 @@ def validate(c: FilteredComplex) -> list[Violation]:
     if edges_ok:
         cols = c.delta_columns()
         apply_delta = column_map(cols)
-        n = len(c.generators)
-        for i in range(n):
-            acc = apply_delta(cols[i])
+        for i, col in enumerate(cols):
+            acc = apply_delta(col)
             if acc:
-                targets = tuple(ids[j] for j in range(n) if (acc >> j) & 1)
+                targets = c.support_ids(acc)
                 out.append(
                     Violation(
                         "delta-squared",

@@ -174,15 +174,9 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[int]) -> "BitMatrix":
-        data = [0] * rows
-        for j, col in enumerate(columns):
-            if col >> rows:
-                raise ValueError("column vector out of bounds")
-            while col:
-                i = _lsb(col)
-                col &= col - 1
-                data[i] |= 1 << j
-        return cls(rows, len(columns), data)
+        if any(col >> rows for col in columns):
+            raise ValueError("column vector out of bounds")
+        return cls(len(columns), rows, columns).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -194,9 +188,6 @@ class BitMatrix:
 
     def row(self, i: int) -> int:
         return self._rows[i]
-
-    def entry(self, i: int, j: int) -> int:
-        return (self._rows[i] >> j) & 1
 
     def entries(self) -> tuple[tuple[int, int], ...]:
         out = []
@@ -233,16 +224,8 @@ class BitMatrix:
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        data = []
-        for r in self._rows:
-            acc = 0
-            rr = r
-            while rr:
-                k = _lsb(rr)
-                rr &= rr - 1
-                acc ^= other._rows[k]
-            data.append(acc)
-        return BitMatrix(self.rows, other.cols, data)
+        apply = column_map(other._rows)
+        return BitMatrix(self.rows, other.cols, [apply(r) for r in self._rows])
 
     def __add__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -282,14 +265,6 @@ class BitMatrix:
 
     def __repr__(self):
         return f"BitMatrix({self.rows}x{self.cols}, {len(self.entries())} ones)"
-
-
-def rank(m: BitMatrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: BitMatrix) -> "Subspace":
-    return m.kernel_basis()
 
 
 class Subspace:
@@ -429,29 +404,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of GF(2)^{self.ambient_dim})"
 
 
-def span_solve(generators: Sequence[int], v: int) -> Optional[int]:
-    """Coefficient bitmask c with XOR_{i in c} generators[i] = v, or None.
-
-    Deterministic: a generator in the span of the earlier ones is skipped,
-    so c is the unique combination of the generators independent of their
-    predecessors.
-    """
-    ech = Echelon(max((g.bit_length() for g in generators), default=0), track=True)
-    for i, g in enumerate(generators):
-        ech.relate(g, 1 << i)
-    return ech.solve(v)
-
-
-def combine(generators: Sequence[int], combo: int) -> int:
-    """XOR of the generators selected by the bitmask ``combo``."""
-    x = 0
-    while combo:
-        i = _lsb(combo)
-        combo &= combo - 1
-        x ^= generators[i]
-    return x
-
-
 def coset_solver(reps: Sequence[int], denom: Subspace) -> Echelon:
     """Tracking builder of span(reps) + denom whose ``solve(v)`` is the bitmask
     of the reps summing to v modulo denom; reps must be independent modulo
@@ -495,7 +447,3 @@ def subquotient(a: Subspace, b: Subspace) -> tuple[int, tuple[int, ...]]:
     cur = Echelon.of(a.intersection(b))
     reps = tuple(v for v in a.basis if cur.add(v))
     return len(reps), reps
-
-
-def subquotient_dim(a: Subspace, b: Subspace) -> int:
-    return subquotient(a, b)[0]

@@ -61,10 +61,10 @@ class TorusSpec:
             raise ComplexFormatError(f"need exactly 2^{self.m} action jitters")
         if len(set(jit)) != len(jit):
             raise ComplexFormatError("action jitters must be distinct")
-        sigma = self.lam * self.sigma_maslov
+        top = self.r + self.lam * self.sigma_maslov
         for a in jit:
-            if not (self.r < a < self.r + sigma):
-                raise ComplexFormatError(f"jitter {a} outside the window ({self.r}, {self.r + sigma})")
+            if not (self.r < a < top):
+                raise ComplexFormatError(f"jitter {a} outside the window ({self.r}, {top})")
 
 
 def _subsets(m: int) -> list[tuple[int, ...]]:

@@ -110,9 +110,6 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return max(self.coeffs) if self.coeffs else 0
 
-    def __call__(self, t: int) -> int:
-        return sum(c * t**e for e, c in self.coeffs.items())
-
     def terms(self) -> list[list[int]]:
         return [[e, self.coeffs[e]] for e in sorted(self.coeffs)]
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import FilteredComplex, InternalError
-from .gf2 import BitMatrix, Echelon, Subspace, column_map, combine, coset_solver, preimage, subquotient
+from .gf2 import BitMatrix, Echelon, Subspace, column_map, coset_solver, preimage, subquotient
 
 __all__ = [
     "Page",
@@ -76,16 +76,6 @@ class Page:
     def dims(self) -> dict[tuple[int, int], int]:
         return {key: cell.dim for key, cell in self.cells.items() if cell.dim > 0}
 
-    def cell_dim(self, n: int, j: int) -> int:
-        cell = self.cells.get((n, j))
-        return cell.dim if cell is not None else 0
-
-    def total_dim(self) -> int:
-        return sum(cell.dim for cell in self.cells.values())
-
-    def sorted_cells(self) -> list[PageCell]:
-        return [self.cells[key] for key in sorted(self.cells)]
-
     def __repr__(self):
         return f"Page(k={self.k}, dims={self.dims()})"
 
@@ -94,41 +84,27 @@ class _Engine:
     """Shared filtration plumbing for both page computations.
 
     Every level F_n is a coordinate subspace, so reducing modulo F_n and
-    intersecting with it go through its bit mask: x mod F_n is x & ~mask.
+    intersecting with it go through its bit mask, ``c.filtration_mask(n)``:
+    x mod F_n is x & ~mask.
     """
 
     def __init__(self, c: FilteredComplex):
         self.c = c
         self.sig = c.sigma_maslov
         self.n_amb = len(c.generators)
-        self.delta_cols = c.delta_columns()
-        self.apply_delta = column_map(self.delta_cols)
-        self.members = c.grade_members()
+        self.apply_delta = column_map(c.delta_columns())
         self.grades = c.occupied_grades()
-        self._grade_masks = {n: sum(1 << i for i in self.members[n]) for n in self.grades}
-        self._mask_cache: dict[int, int] = {}
         self._f_cache: dict[int, Subspace] = {}
         self._fimg_cache: dict[int, Subspace] = {}
         self._z_cache: dict[tuple[int, int], Subspace] = {}
         self._oracle_cache: dict[tuple[int, int], tuple[Subspace, Subspace]] = {}
-
-    def filtration_mask(self, n: int) -> int:
-        """Bit mask of F_n: grades >= n in the residue class of n (any integer n)."""
-        mask = self._mask_cache.get(n)
-        if mask is None:
-            mask = 0
-            for g, gmask in self._grade_masks.items():
-                if g >= n and (g - n) % self.sig == 0:
-                    mask |= gmask
-            self._mask_cache[n] = mask
-        return mask
 
     def filtration(self, n: int) -> Subspace:
         """F_n as a subspace of the ambient space."""
         cached = self._f_cache.get(n)
         if cached is not None:
             return cached
-        sub = Subspace.coordinate(self.n_amb, self.filtration_mask(n))
+        sub = Subspace.coordinate(self.n_amb, self.c.filtration_mask(n))
         self._f_cache[n] = sub
         return sub
 
@@ -148,7 +124,7 @@ class _Engine:
         cached = self._z_cache.get((n, depth))
         if cached is not None:
             return cached
-        outside = ~self.filtration_mask(n + depth)
+        outside = ~self.c.filtration_mask(n + depth)
         apply_delta = self.apply_delta
         sub = preimage(
             lambda x: apply_delta(x) & outside, self.filtration(n), Subspace.zero(self.n_amb)
@@ -162,10 +138,7 @@ class _Engine:
         Equals delta of { x in F_source : delta x in F_target }, because a
         boundary that lies in F_target certifies its own preimage condition.
         """
-        return self.delta_filtration_image(source).within(self.filtration_mask(target))
-
-    def span(self) -> int:
-        return self.grades[-1] - self.grades[0] if self.grades else 0
+        return self.delta_filtration_image(source).within(self.c.filtration_mask(target))
 
 
 def stabilization_bound(c: FilteredComplex) -> int:
@@ -203,7 +176,7 @@ class _State:
 
 
 def _initial_state(eng: _Engine) -> _State:
-    reps = {n: tuple(1 << i for i in eng.members[n]) for n in eng.grades}
+    reps = {n: Subspace.coordinate(eng.n_amb, eng.c.grade_mask(n)).basis for n in eng.grades}
     denom = {n: eng.filtration(n + eng.sig) for n in eng.grades}
     return _State(0, reps, denom)
 
@@ -254,7 +227,7 @@ def _repairer(eng: _Engine, denom: Subspace, k: int, n: int):
     denominator element so that delta(v) lands in F_{n + k*Sigma + 1}. Each
     denominator basis vector b is inserted as delta(b) mod that level tagged
     b, so a solution's tag is the correction."""
-    outside = ~eng.filtration_mask(n + k * eng.sig + 1)
+    outside = ~eng.c.filtration_mask(n + k * eng.sig + 1)
     apply_delta = eng.apply_delta
     solver = None
 
@@ -301,8 +274,9 @@ def _advance(eng: _Engine, state: _State) -> _State:
         src = state.reps[n]
         if src:
             repair = _repairer(eng, state.denom[n], s + 1, n)
+            combine = column_map(src)
             for cmb in matrices[n].kernel_basis().basis:
-                v = repair(combine(src, cmb))
+                v = repair(combine(cmb))
                 if cur.add(v):
                     picked.append(v)
         new_reps[n] = tuple(picked)
@@ -473,7 +447,7 @@ def oracle_comparison(c: FilteredComplex, max_k: int):
     shares nothing with it but an engine of its own, and evaluates every k,
     so it also checks where the recursion stopped."""
     if max_k < 1:
-        return []
+        raise ValueError("max_k must be >= 1")
     eng, states = _stable_states(c, max_k)
     oracle_eng = _Engine(c)
     out = []

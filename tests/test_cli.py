@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from filtcoh import chain_maps, cohomology, complexes, maslov, morse, obstruction, spectral
+from filtcoh import chain_maps, cli, cohomology, complexes, maslov, morse, obstruction, spectral
 from filtcoh.cli import OP_TO_VERB, VERBS, _emit, build_parser, run
 from filtcoh.complexes import build_complex, serialize_complex
 from filtcoh.morse import TorusSpec, torus_complex
@@ -387,3 +387,74 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch, quantum_file):
     code, out, err = run_cli(capsys, "kl", quantum_file)
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: lost cell second line\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a repeated exponent used to keep only its last pair: 1 + t^4, "witness"
+        ("--target", "[[0,1],[0,1],[4,1]]"),
+        ("--target", "[[0,0.7]]"),  # used to truncate to 0
+        ("--target", "[[0,true]]"),  # used to read as 1
+        ("--target", "[[true,1]]"),
+        ("--target", "5"),  # used to exit 3 with a TypeError
+        ("--target", "[null]"),  # used to exit 3 with a TypeError
+        ("--target", "[[0,1,2]]"),
+        ("--target", '{"0": 1}'),
+        ("--m", "-3"),  # used to answer "witness" for an empty target
+    ],
+)
+def test_decomp_rejects_malformed_targets(capsys, argv):
+    code, out, err = run_cli(capsys, "decomp", *argv, "--sigma", "3", "--k", "1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_decomp_target_with_distinct_exponents(capsys):
+    code, out, _ = run_cli(capsys, "decomp", "--target", "[[4,1],[0,2]]", "--sigma", "3", "--k", "1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["target"] == [[0, 2], [4, 1]] and report["certificate"] == {"exponents": [0]}
+    code, out, _ = run_cli(capsys, "decomp", "--m", "0", "--sigma", "3", "--k", "1")
+    assert code == 1 and json.loads(out)["target"] == [[0, 1]]
+
+
+def test_oracle_max_k_zero_exits_2(capsys, torus_file):
+    for verb in ("oracle", "pages"):
+        code, out, err = run_cli(capsys, verb, torus_file, "--max-k", "0")
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "error: max_k must be >= 1"
+    with pytest.raises(ValueError, match="max_k must be >= 1"):
+        spectral.oracle_comparison(torus_complex(TorusSpec(m=2)), 0)
+
+
+def test_mapcheck_loads_a_shared_path_once(capsys, monkeypatch, tmp_path, torus_file):
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return complexes.parse_complex(text)
+
+    monkeypatch.setattr(cli, "parse_complex", counting_parse)
+    text = open(torus_file).read()
+    ids = [g.id for g in complexes.parse_complex(text).generators]
+    map_path = tmp_path / "ident.json"
+    map_path.write_text(json.dumps({"entries": [[g, g] for g in ids]}))
+
+    code, out, err = run_cli(capsys, "mapcheck", torus_file, torus_file, str(map_path), "--pages")
+    assert code == 0 and json.loads(out)["violations"] == []
+    assert len(calls) == 1
+    # T^2 has Sigma = 2: its period warning is printed once, not once per end
+    assert err.count("warning: sigma_maslov = 2") == 1
+
+    # both ends on stdin: read once, so the target is not an empty second read
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out2, err = run_cli(capsys, "mapcheck", "-", "-", str(map_path), "--pages")
+    assert code == 0 and out2 == out
+    assert len(calls) == 2 and err.count("warning:") == 1
+
+    # distinct paths still load both ends
+    other = tmp_path / "copy.json"
+    other.write_text(text)
+    code, out3, _ = run_cli(capsys, "mapcheck", torus_file, str(other), str(map_path), "--pages")
+    assert code == 0 and out3 == out and len(calls) == 4

@@ -208,3 +208,66 @@ def test_roundtrip_random(rng):
     for _ in range(20):
         c = random_complex(rng, max_gens=16)
         assert parse_complex(serialize_complex(c)) == c
+
+
+# -- the generator-to-bit encoding, against per-generator brute force ---------
+
+
+def _bits(indices):
+    return sum(2**i for i in set(indices))
+
+
+def _brute_columns(c, pairs, target):
+    """Column of generator a: the bits of the b paired with a an odd number of times."""
+    cols = []
+    for g in c.generators:
+        odd = [t.id for t in target.generators if sum(p == (g.id, t.id) for p in pairs) % 2]
+        cols.append(_bits(i for i, t in enumerate(target.generators) if t.id in odd))
+    return cols
+
+
+def _check_masks(c, lo, hi):
+    sig = c.sigma_maslov
+    for n in range(lo, hi + 1):
+        assert c.grade_mask(n) == _bits(i for i, g in enumerate(c.generators) if g.maslov == n)
+        assert c.filtration_mask(n) == _bits(
+            i for i, g in enumerate(c.generators) if g.maslov >= n and (g.maslov - n) % sig == 0
+        )
+
+
+def test_encoding_primitives_match_brute_force(rng):
+    for _ in range(40):
+        c = random_complex(rng, max_gens=14)
+        d = random_complex(rng, max_gens=14)
+        grades = [g.maslov for g in c.generators] or [0]
+        # every integer n from well below the lowest grade to above the top
+        _check_masks(c, min(grades) - 2 * c.sigma_maslov - 1, max(grades) + c.sigma_maslov + 1)
+        ids, other = [g.id for g in c.generators], [g.id for g in d.generators]
+        pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 30))] if ids else []
+        assert c.columns(pairs) == _brute_columns(c, pairs, c)
+        assert c.delta_columns() == _brute_columns(c, list(c.edges), c)
+        shift0 = [(a, b) for a, b in c.edges if c.grade(b) - c.grade(a) == 1]
+        assert c.shift0_columns() == _brute_columns(c, shift0, c)
+        if ids and other:
+            cross = [(rng.choice(ids), rng.choice(other)) for _ in range(rng.randint(0, 30))]
+            assert c.columns(cross, d) == _brute_columns(c, cross, d)
+        for _ in range(5):
+            v = rng.getrandbits(len(ids)) if ids else 0
+            assert c.support_ids(v) == tuple(g for i, g in enumerate(ids) if (v >> i) & 1)
+
+
+def test_encoding_primitives_on_edge_cases():
+    empty = FilteredComplex(3, Fraction(1), Fraction(0), (), ())
+    _check_masks(empty, -7, 7)
+    assert empty.columns([]) == [] and empty.delta_columns() == [] and empty.support_ids(0) == ()
+    # Sigma = 3 with grades 0, 3, 4: residue class 2 is empty
+    c = build_complex(3, "1/3", 0, [("a", "1/2", 0), ("b", "1/3", 3), ("c", "1/4", 4)])
+    _check_masks(c, -8, 8)
+    assert c.filtration_mask(2) == c.filtration_mask(-1) == c.filtration_mask(-10) == 0
+    assert c.filtration_mask(-3) == c.filtration_mask(0) == 0b011
+    assert c.filtration_mask(1) == c.filtration_mask(-5) == 0b100
+    assert c.filtration_mask(3) == 0b010 and c.filtration_mask(5) == 0
+    assert c.grade_mask(1) == 0 and c.grade_mask(4) == 0b100
+    # a pair listed twice cancels; the target complex indexes the bits
+    assert c.columns([("a", "b"), ("a", "c"), ("a", "b")]) == [0b100, 0, 0]
+    assert c.columns([("c", "z")], build_complex(3, "1/3", 0, [("y", "1/2", 0), ("z", "1/3", 0)])) == [0, 0, 0b10]

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .complexes import ComplexFormatError, FilteredComplex, InternalError, Violation
 from .gf2 import BitMatrix, column_map, coset_solver
-from .spectral import _stable_pair, _states_up_to, stabilization_bound
+from .spectral import _Pages, stabilization_bound
 
 __all__ = [
     "FilteredMap",
@@ -206,26 +206,23 @@ def induced_page_map(f: FilteredMap, k: int) -> PageMapReport:
         raise ValueError("not a cochain map: " + "; ".join(v.rule for v in problems))
     if k < 1:
         raise ValueError("page index must be >= 1")
-    _, src_states = _states_up_to(f.source, k)
-    _, tgt_states = _states_up_to(f.target, k)
-    return _induced_on_states(f, k, src_states[k], tgt_states[k])
+    return _induced_on_states(f, k, _Pages(f.source).state(k), _Pages(f.target).state(k))
 
 
 def iso_on_pages(f: FilteredMap) -> dict[int, bool]:
     """k -> whether the cochain map f, already verified, is bijective on
-    every cell of E^k, for k up to the larger stabilization bound. Both
-    recursions run once, to a common stop where both sequences have
-    degenerated; past it every page, and with it the induced map, is a
-    copy of the last."""
+    every cell of E^k, for k up to the larger stabilization bound. Page k is
+    read at the later of the two ends' stages, so that both present it at
+    one literal stage; equal ends share one page sequence."""
     bound = max(stabilization_bound(f.source), stabilization_bound(f.target))
-    (_, src_states), (_, tgt_states) = _stable_pair(f.source, f.target)
-    iso = {}
-    for k in range(1, bound + 1):
-        if k < len(src_states):
-            iso[k] = _induced_on_states(f, k, src_states[k], tgt_states[k]).iso
-        else:
-            iso[k] = iso[k - 1]
-    return iso
+    src = _Pages(f.source)
+    tgt = src if f.target == f.source else _Pages(f.target)
+
+    @cache
+    def iso_at(s: int) -> bool:
+        return _induced_on_states(f, s, src.state(s), tgt.state(s)).iso
+
+    return {k: iso_at(max(src.stage(k), tgt.stage(k))) for k in range(1, bound + 1)}
 
 
 def _induced_on_states(f: FilteredMap, k: int, src_state, tgt_state) -> PageMapReport:

@@ -1,7 +1,10 @@
 """Command-line surface.
 
-Verbs dispatch 1:1 onto the library operations (see OP_TO_VERB). Reports go
-to stdout as JSON (TSV for page dumps), diagnostics and warnings to stderr.
+Verbs dispatch onto the library operations in OP_TO_VERB, each row naming a
+function its verb calls. Library-only, reached from no verb: ``differential``
+and ``page_oracle`` (spectral), ``induced_page_map``, ``compose``, ``map_sum``
+and ``identity_map`` (chain_maps) and ``decomposition_search_colex``. Reports
+go to stdout as JSON (TSV for page dumps), diagnostics and warnings to stderr.
 Exit codes: 0 success / empty violations, 1 violations or "none" verdicts,
 2 usage or file errors and exceeded search budgets, 3 internal errors (a
 failed consistency check or any other unexpected exception, reported as one
@@ -29,8 +32,8 @@ from .complexes import (
     warnings as complex_warnings,
 )
 
-# coverage audit: every public module operation is reachable from exactly
-# one verb (tests assert this table against the module surfaces)
+# coverage audit: operation -> the verb whose command calls it (tests run
+# every verb with each operation spied and assert the call)
 OP_TO_VERB = {
     "parse_complex": "validate",
     "validate": "validate",
@@ -38,11 +41,12 @@ OP_TO_VERB = {
     "integer_graded_cohomology": "cohom",
     "zsigma_cohomology": "hf",
     "hf_filtration": "hf",
-    "page": "pages",
-    "differential": "pages",
     "einfty": "pages",
+    "page_rows": "pages",
+    "pages_tsv": "pages",
     "k_stable": "kl",
-    "page_oracle": "oracle",
+    "oracle_comparison": "oracle",
+    "page": "poly",
     "poincare_laurent": "poly",
     "check_page_recursion": "recursion",
     "rank_balance": "recursion",
@@ -56,7 +60,7 @@ OP_TO_VERB = {
     "compatibility_check": "maslov",
     "verify_cochain_map": "mapcheck",
     "verify_homotopy": "mapcheck",
-    "induced_page_map": "mapcheck",
+    "iso_on_pages": "mapcheck",
     "torus_complex": "gen",
     "quantum_perturbed_torus": "gen",
 }
@@ -250,14 +254,20 @@ def _cmd_audin(args) -> int:
 
 def _load_path_file(path: str) -> maslov.LagrangianPath:
     data = json.loads(_read_text(path))
-    if not isinstance(data, dict) or set(data) != {"m", "closed", "samples"}:
+    if not (
+        isinstance(data, dict) and set(data) == {"m", "closed", "samples"}
+        and type(data["m"]) is int and type(data["closed"]) is bool and isinstance(data["samples"], list)
+    ):
         raise ComplexFormatError('path file must be {"m": int, "closed": bool, "samples": [...]}')
-    return maslov.LagrangianPath.from_samples(data["m"], data["samples"], bool(data["closed"]))
+    return maslov.LagrangianPath.from_samples(data["m"], data["samples"], data["closed"])
 
 
 def _load_classes(path: str) -> maslov.DiskClassData:
     data = json.loads(_read_text(path))
-    if not isinstance(data, dict) or set(data) != {"classes"}:
+    if not (
+        isinstance(data, dict) and set(data) == {"classes"} and isinstance(data["classes"], list)
+        and all(isinstance(x, list) and len(x) == 2 and type(x[1]) is int for x in data["classes"])
+    ):
         raise ComplexFormatError('disk class file must be {"classes": [["p/q", int], ...]}')
     return maslov.DiskClassData.from_pairs([tuple(x) for x in data["classes"]])
 

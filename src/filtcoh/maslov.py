@@ -62,7 +62,10 @@ class LagrangianPath:
 
         if m < 1:
             raise FrameError("dimension must be >= 1")
-        arrs = tuple(np.asarray(s, dtype=float) for s in samples)
+        try:
+            arrs = tuple(np.asarray(s, dtype=float) for s in samples)
+        except (TypeError, ValueError) as exc:
+            raise FrameError(f"samples must be numeric frames: {exc}") from exc
         if len(arrs) < 2:
             raise FrameError("need at least two samples")
         for k, a in enumerate(arrs):

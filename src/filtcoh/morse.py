@@ -23,9 +23,10 @@ __all__ = ["TorusSpec", "torus_complex", "quantum_perturbed_torus", "subset_id"]
 def subset_id(subset: Iterable[int], m: int) -> str:
     """Canonical generator id for a subset of {1..m}: 'x' + membership bits."""
     chosen = set(subset)
-    if not chosen <= set(range(1, m + 1)):
+    span = range(1, m + 1)
+    if not all(i in span for i in chosen):
         raise ComplexFormatError(f"subset {sorted(chosen)} not contained in 1..{m}")
-    return "x" + "".join("1" if i in chosen else "0" for i in range(1, m + 1))
+    return "x" + "".join("1" if i in chosen else "0" for i in span)
 
 
 def _default_jitter(r: Fraction, sigma: Fraction, count: int) -> tuple[Fraction, ...]:
@@ -49,7 +50,8 @@ class TorusSpec:
             return _default_jitter(self.r, self.lam * self.sigma_maslov, count)
         return tuple(as_fraction(x, "action jitter") for x in self.action_jitter)
 
-    def check(self) -> None:
+    def check(self) -> tuple[Fraction, ...]:
+        """Raise ComplexFormatError on a bad spec; return its jitters."""
         if self.m < 0:
             raise ComplexFormatError("torus dimension must be >= 0")
         if self.sigma_maslov < 2 or self.sigma_maslov % 2 != 0:
@@ -65,6 +67,7 @@ class TorusSpec:
         for a in jit:
             if not (self.r < a < top):
                 raise ComplexFormatError(f"jitter {a} outside the window ({self.r}, {top})")
+        return jit
 
 
 def _subsets(m: int) -> list[tuple[int, ...]]:
@@ -78,12 +81,9 @@ def torus_complex(spec: TorusSpec) -> FilteredComplex:
     """Perfect Morse model of T^m: generators are the subsets of {1..m} at
     grade |S| - m, no edges. The Morse differential of the standard product
     Morse function vanishes over GF(2)."""
-    spec.check()
-    jit = spec.jitters()
-    gens = []
-    for k, subset in enumerate(_subsets(spec.m)):
-        gens.append(Generator(subset_id(subset, spec.m), jit[k], len(subset) - spec.m))
-    return FilteredComplex(spec.sigma_maslov, spec.lam, spec.r, tuple(gens), ())
+    m = spec.m
+    gens = tuple(Generator(subset_id(s, m), a, len(s) - m) for s, a in zip(_subsets(m), spec.check()))
+    return FilteredComplex(spec.sigma_maslov, spec.lam, spec.r, gens, ())
 
 
 @dataclass(frozen=True)
@@ -163,18 +163,14 @@ def quantum_perturbed_torus(
     Raises if the requested edges cannot satisfy the shift law or break
     delta squared = 0; nothing is emitted in that case.
     """
-    spec.check()
     if not matching:
         return torus_complex(spec)
+    jit = sorted(spec.check(), reverse=True)
     grades = _regrade(spec, matching)
     m = spec.m
     order = sorted(grades, key=lambda gid: (grades[gid], gid))
-    jit = sorted(spec.jitters(), reverse=True)
     actions = {gid: jit[k] for k, gid in enumerate(order)}
-    gens = tuple(
-        Generator(subset_id(s, m), actions[subset_id(s, m)], grades[subset_id(s, m)])
-        for s in _subsets(m)
-    )
+    gens = tuple(Generator(gid, actions[gid], grades[gid]) for gid in grades)
     edges = tuple(
         (subset_id(e.source, m), subset_id(e.target, m)) for e in matching
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import FilteredComplex
-from .spectral import Page, _ranks, _stable_states, _stage, stabilization_bound
+from .spectral import Page, _Pages, stabilization_bound
 
 __all__ = [
     "LaurentPoly",
@@ -153,12 +153,12 @@ def check_page_recursion(c: FilteredComplex) -> list[RecursionViolation]:
     """Verify P(E^k) = P(E^{k+1}) + (1 + t^(-k*Sigma-1)) P(B^k) for every k
     up to stabilization, with B^k the image of d^k indexed by target grade."""
     sig = c.sigma_maslov
-    eng, states = _stable_states(c)
+    pages = _Pages(c)
     out = []
     for k in range(1, stabilization_bound(c) + 1):
-        lhs = LaurentPoly(_stage(states, k).dims())
-        nxt = LaurentPoly(_stage(states, k + 1).dims())
-        image = LaurentPoly({n + k * sig + 1: r for n, r in _ranks(eng, states, k).items()})
+        lhs = LaurentPoly(pages.dims(k))
+        nxt = LaurentPoly(pages.dims(k + 1))
+        image = LaurentPoly({n + k * sig + 1: r for n, r in pages.ranks(k).items()})
         rhs = nxt + image + image.shifted(-(k * sig + 1))
         if lhs != rhs:
             out.append(RecursionViolation(k, lhs, rhs))
@@ -540,12 +540,12 @@ def rank_balance(c: FilteredComplex) -> bool:
     sig = c.sigma_maslov
     if sig % 2 != 0:
         raise PreconditionError(f"rank balance needs an even Maslov period, got {sig}")
-    _, states = _stable_states(c)
-    if states[-1].dims():
+    pages = _Pages(c)
+    if pages.dims(math.inf):
         raise PreconditionError("rank balance needs a vanishing limit page (acyclic total complex)")
     total = 0
     for k in range(1, stabilization_bound(c) + 1):
-        for n, d in _stage(states, k).dims().items():
+        for n, d in pages.dims(k).items():
             total += (-1) ** (n % sig) * d
     return total == 0
 

@@ -24,18 +24,20 @@ The differential d^k raises the integer grade by k*Sigma + 1 and the residue
 class by 1. Pages are reported per cell (n, j) with n = j (mod Sigma); cells
 at unoccupied grades are zero and omitted.
 
-Readers of page dimensions and differential ranks (``k_stable``,
-``page_rows``, ``oracle_comparison`` and the checks in ``obstruction`` and
-``chain_maps``) run the recursion once, through ``_stable_states``, and stop
-it at the first page E^s (s >= 1) with no two nonzero cells k'*Sigma + 1
-apart for any k' >= s. Then d^s and every later differential vanish for
-degree reasons, so E^s = E^infty and each later page is a copy of E^s with
-d^k = 0. ``page``, ``differential`` and ``einfty`` expose representatives
-and denominators, which keep changing on stable pages, so they stay literal.
+One page sequence, ``_Pages``, runs the recursion for every reader, only as
+far as the reader asks. ``page``, ``differential``, ``einfty`` and
+``chain_maps.induced_page_map`` expose representatives and denominators,
+which keep changing on stable pages, so they read the literal stage-k state.
+Readers of dimensions and ranks (``k_stable``, ``page_rows``,
+``oracle_comparison``, ``check_page_recursion``, ``rank_balance``,
+``iso_on_pages``) stop at the first page E^s (s >= 1) with no two nonzero
+cells k'*Sigma + 1 apart for any k' >= s: d^s and every later differential
+vanish for degree reasons, so each later page is a copy of E^s with d^k = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .complexes import FilteredComplex, InternalError
@@ -283,14 +285,6 @@ def _advance(eng: _Engine, state: _State) -> _State:
     return _State(s + 1, new_reps, new_denom)
 
 
-def _states_up_to(c: FilteredComplex, k: int) -> tuple[_Engine, list[_State]]:
-    eng = _Engine(c)
-    states = [_initial_state(eng)]
-    for _ in range(k):
-        states.append(_advance(eng, states[-1]))
-    return eng, states
-
-
 def _degenerate(eng: _Engine, state: _State) -> bool:
     """Whether E^s = E^infty for degree reasons, s = state.s: no two nonzero
     cells of E^s lie k'*Sigma + 1 apart for any k' >= s. Then d^s vanishes,
@@ -305,44 +299,42 @@ def _degenerate(eng: _Engine, state: _State) -> bool:
     return True
 
 
-def _stable_states(c: FilteredComplex, cap: int | None = None) -> tuple[_Engine, list[_State]]:
-    """States 0..s of the page recursion, for the least s >= 1 at which
-    `_degenerate` holds (s <= stabilization_bound, where no two cells are far
-    enough apart), or for s = cap when that comes first. Past a degenerate
-    stop every page is a copy of E^s with d^k = 0: see `_stage` and `_ranks`."""
-    eng = _Engine(c)
-    states = [_initial_state(eng)]
-    states.append(_advance(eng, states[0]))
-    while states[-1].s != cap and not _degenerate(eng, states[-1]):
-        states.append(_advance(eng, states[-1]))
-    return eng, states
+class _Pages:
+    """The page recursion of one complex, advanced only as far as a reader
+    asks: ``state(k)`` is the literal stage-k presentation, ``stage(k)`` the
+    stage at which readers of dimensions and ranks read E^k (k, or the stop
+    if that lies below k). `_degenerate` runs at most once per state, and
+    only on states below the page asked for."""
 
+    def __init__(self, c: FilteredComplex):
+        self.eng = _Engine(c)
+        self._states = [_initial_state(self.eng)]
+        self._checked = 0  # states 1.._checked were tested for the stop
+        self._stop = math.inf
 
-def _stable_pair(a: FilteredComplex, b: FilteredComplex):
-    """`_stable_states` of two complexes, both advanced to the later of
-    their two stops, so that stage k means the same page on either side.
-    Equal complexes share one pass."""
-    if a == b:
-        same = _stable_states(a)
-        return same, same
-    pair = (_stable_states(a), _stable_states(b))
-    stop = max(len(states) for _, states in pair)
-    for eng, states in pair:
-        while len(states) < stop:
-            states.append(_advance(eng, states[-1]))
-    return pair
+    def state(self, k: int) -> _State:
+        states = self._states
+        while len(states) <= k:
+            states.append(_advance(self.eng, states[-1]))
+        return states[k]
 
+    def stage(self, k: float) -> int:
+        """k = math.inf gives the stop s, where E^s = E^infty."""
+        while self._stop == math.inf and self._checked + 1 < k:
+            self._checked += 1
+            if _degenerate(self.eng, self.state(self._checked)):
+                self._stop = self._checked
+        return min(k, self._stop)
 
-def _stage(states: list[_State], k: int) -> _State:
-    """The state presenting E^k, from `_stable_states`."""
-    return states[min(k, len(states) - 1)]
+    def dims(self, k: float) -> dict[int, int]:
+        """Nonzero dimensions of E^k by grade."""
+        return self.state(self.stage(k)).dims()
 
-
-def _ranks(eng: _Engine, states: list[_State], k: int) -> dict[int, int]:
-    """rank of d^k out of each occupied grade, from `_stable_states`."""
-    if k >= len(states):
-        return dict.fromkeys(eng.grades, 0)
-    return {n: m.rank() for n, m in _differential_matrices(eng, states[k]).items()}
+    def ranks(self, k: int) -> dict[int, int]:
+        """rank of d^k out of each occupied grade."""
+        if self.stage(k) < k:
+            return dict.fromkeys(self.eng.grades, 0)
+        return {n: m.rank() for n, m in _differential_matrices(self.eng, self.state(k)).items()}
 
 
 def _page_from_state(eng: _Engine, state: _State) -> Page:
@@ -357,25 +349,26 @@ def page(c: FilteredComplex, k: int) -> Page:
     """Page E^k, k >= 1, via the homology recursion."""
     if k < 1:
         raise ValueError("page index must be >= 1")
-    eng, states = _states_up_to(c, k)
-    return _page_from_state(eng, states[k])
+    pages = _Pages(c)
+    return _page_from_state(pages.eng, pages.state(k))
 
 
 def differential(c: FilteredComplex, k: int) -> dict[tuple[int, int], BitMatrix]:
     """Matrices of d^k out of every cell (n, j), into (n + Sigma*k + 1, j+1)."""
     if k < 1:
         raise ValueError("differential index must be >= 1")
-    eng, states = _states_up_to(c, k)
-    mats = _differential_matrices(eng, states[k])
-    return {(n, n % eng.sig): m for n, m in mats.items()}
+    pages = _Pages(c)
+    mats = _differential_matrices(pages.eng, pages.state(k))
+    return {(n, n % pages.eng.sig): m for n, m in mats.items()}
 
 
 def k_stable(c: FilteredComplex) -> int:
     """Least k >= 1 with E^k = E^infty (page dimensions are nonincreasing
     in k cellwise, so equality with the limit page pins the index)."""
-    _, states = _stable_states(c)
-    final = states[-1].dims()
-    return next(k for k in range(1, len(states)) if states[k].dims() == final)
+    pages = _Pages(c)
+    stop = pages.stage(math.inf)
+    final = pages.dims(stop)
+    return next(k for k in range(1, stop + 1) if pages.dims(k) == final)
 
 
 def einfty(c: FilteredComplex) -> Page:
@@ -448,12 +441,13 @@ def oracle_comparison(c: FilteredComplex, max_k: int):
     so it also checks where the recursion stopped."""
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    eng, states = _stable_states(c, max_k)
+    pages = _Pages(c)
+    sig = pages.eng.sig
     oracle_eng = _Engine(c)
     out = []
     for k in range(1, max_k + 1):
-        fast = {(n, n % eng.sig): d for n, d in _stage(states, k).dims().items()}
-        rank_fast = {(n, n % eng.sig): r for n, r in _ranks(eng, states, k).items() if r}
+        fast = {(n, n % sig): d for n, d in pages.dims(k).items()}
+        rank_fast = {(n, n % sig): r for n, r in pages.ranks(k).items() if r}
         slow = _oracle_page(oracle_eng, k).dims()
         rank_slow = {key: r for key, r in _oracle_ranks(oracle_eng, k).items() if r}
         out.append((k, fast, slow, rank_fast, rank_slow))
@@ -465,14 +459,11 @@ def page_rows(c: FilteredComplex, max_k: int) -> list[tuple[int, int, int, int, 
     ordered by (k, n, j)."""
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    eng, states = _stable_states(c, max_k)
+    pages = _Pages(c)
     rows = []
     for k in range(1, max_k + 1):
-        reps = _stage(states, k).reps
-        ranks = _ranks(eng, states, k)
-        for n in eng.grades:
-            if reps[n]:
-                rows.append((k, n, n % eng.sig, len(reps[n]), ranks[n]))
+        ranks = pages.ranks(k)
+        rows.extend((k, n, n % pages.eng.sig, d, ranks[n]) for n, d in pages.dims(k).items())
     return rows
 
 

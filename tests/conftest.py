@@ -9,12 +9,21 @@ shift-0 action drop for any edge set that satisfies the grade law.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from filtcoh.complexes import FilteredComplex, Generator, validate
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, so that a child
+    interpreter imports this checkout's filtcoh without an install."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 
 def _apply(cols, v):

@@ -48,7 +48,7 @@ from filtcoh.spectral import (
     page_oracle,
     stabilization_bound,
 )
-from conftest import random_complex
+from conftest import random_complex, src_env
 from test_chain_maps import _homotopy_deformation
 
 
@@ -95,6 +95,7 @@ def _cli(*argv, stdin=""):
         input=stdin,
         capture_output=True,
         text=True,
+        env=src_env(),
     )
 
 

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -12,13 +11,23 @@ from filtcoh import chain_maps, cli, cohomology, complexes, maslov, morse, obstr
 from filtcoh.cli import OP_TO_VERB, VERBS, _emit, build_parser, run
 from filtcoh.complexes import build_complex, serialize_complex
 from filtcoh.morse import TorusSpec, torus_complex
-from conftest import hall_violated
+from conftest import hall_violated, src_env
 
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_json(tmp_path, name: str, data) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+# a closed loop of Lagrangian lines in C^1 with Maslov index 1
+HALF_TURN = [[[math.cos(math.pi * k / 16)], [math.sin(math.pi * k / 16)]] for k in range(16)]
 
 
 @pytest.fixture
@@ -277,6 +286,7 @@ def test_pipeline_subprocess():
         [sys.executable, "-m", "filtcoh.cli", "gen", "torus", "--m", "2"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert gen.returncode == 0
     cohom = subprocess.run(
@@ -284,19 +294,18 @@ def test_pipeline_subprocess():
         input=gen.stdout,
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert cohom.returncode == 0
     assert json.loads(cohom.stdout)["dims"] == [[-2, 1], [-1, 2], [0, 1]]
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, filtcoh.cli; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
@@ -309,13 +318,49 @@ def test_byte_identical_outputs(torus_file):
             [sys.executable, "-m", "filtcoh.cli", "pages", torus_file, "--tsv", "--max-k", "3"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         outs.add(proc.stdout)
     assert len(outs) == 1
 
 
-def test_verb_coverage_table():
+def verb_runs(tmp_path, cx: str) -> dict[str, list[tuple[str, ...]]]:
+    """Per verb, argv lists that together reach every branch OP_TO_VERB
+    names, on the complex file cx (an acyclic quantum torus)."""
+    c = complexes.parse_complex(open(cx).read())
+    ident = write_json(tmp_path, "ident.json", {"entries": [[g.id, g.id] for g in c.generators]})
+    zero = write_json(tmp_path, "zero.json", {"entries": []})
+    loop = write_json(tmp_path, "loop.json", {"m": 1, "closed": True, "samples": HALF_TURN})
+    classes = write_json(tmp_path, "classes.json", {"classes": [["1", 2], ["3", 6]]})
+    matching = write_json(tmp_path, "matching.json", {"matching": [{"from": [], "to": [1, 2], "shift": 1}]})
+    return {
+        "validate": [("validate", cx)],
+        "cohom": [("cohom", cx, "--pieces")],
+        "hf": [("hf", cx)],
+        "pages": [("pages", cx, "--einfty"), ("pages", cx), ("pages", cx, "--tsv")],
+        "kl": [("kl", cx)],
+        "oracle": [("oracle", cx)],
+        "poly": [("poly", cx, "--k", "2")],
+        "recursion": [("recursion", cx), ("recursion", cx, "--balance")],
+        "decomp": [("decomp", "--m", "4", "--sigma", "2", "--k", "1")],
+        "binom": [("binom", "--m", "4", "--N", "2")],
+        "audin": [("audin", "--m", "2")],
+        "maslov": [
+            ("maslov", "index", loop),
+            ("maslov", "kunneth", loop, loop),
+            ("maslov", "monotone", classes),
+            ("maslov", "lift", "--a", "1/2", "--r", "3/4", "--sigma", "2"),
+            ("maslov", "compat", classes, "--index", "6", "--a", "3"),
+        ],
+        "mapcheck": [
+            ("mapcheck", cx, cx, ident, "--pages", "--homotopy", zero, "--other", ident),
+        ],
+        "gen": [("gen", "torus", "--m", "2"), ("gen", "torus", "--m", "2", "--quantum", matching)],
+    }
+
+
+def test_verb_coverage_table(capsys, monkeypatch, tmp_path, quantum_file):
     assert set(OP_TO_VERB.values()) == set(VERBS)
     surfaces = {
         "parse_complex": complexes.parse_complex,
@@ -324,11 +369,12 @@ def test_verb_coverage_table():
         "integer_graded_cohomology": cohomology.integer_graded_cohomology,
         "zsigma_cohomology": cohomology.zsigma_cohomology,
         "hf_filtration": cohomology.hf_filtration,
-        "page": spectral.page,
-        "differential": spectral.differential,
         "einfty": spectral.einfty,
+        "page_rows": spectral.page_rows,
+        "pages_tsv": spectral.pages_tsv,
         "k_stable": spectral.k_stable,
-        "page_oracle": spectral.page_oracle,
+        "oracle_comparison": spectral.oracle_comparison,
+        "page": spectral.page,
         "poincare_laurent": obstruction.poincare_laurent,
         "check_page_recursion": obstruction.check_page_recursion,
         "rank_balance": obstruction.rank_balance,
@@ -342,13 +388,35 @@ def test_verb_coverage_table():
         "compatibility_check": maslov.compatibility_check,
         "verify_cochain_map": chain_maps.verify_cochain_map,
         "verify_homotopy": chain_maps.verify_homotopy,
-        "induced_page_map": chain_maps.induced_page_map,
+        "iso_on_pages": chain_maps.iso_on_pages,
         "torus_complex": morse.torus_complex,
         "quantum_perturbed_torus": morse.quantum_perturbed_torus,
     }
-    # every spec operation is mapped to exactly one verb and exists
-    assert set(OP_TO_VERB) == set(surfaces)
     assert all(callable(fn) for fn in surfaces.values())
+
+    # spy every operation wherever a module holds it, cli's own imports included
+    verb, calls = [None], set()
+    holders = (cli, complexes, cohomology, spectral, obstruction, maslov, chain_maps, morse)
+    for op, fn in surfaces.items():
+        def spy(*args, _op=op, _fn=fn, **kwargs):
+            calls.add((_op, verb[0]))
+            return _fn(*args, **kwargs)
+
+        for mod in holders:
+            for name, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, name, spy)
+
+    runs = verb_runs(tmp_path, quantum_file)
+    assert set(runs) == set(VERBS)
+    for verb[0], argvs in runs.items():
+        for argv in argvs:
+            assert run(list(argv)) in (0, 1), argv
+    capsys.readouterr()
+    # each row names a function that its verb calls
+    assert sorted((op, v) for op, v in OP_TO_VERB.items() if (op, v) not in calls) == []
+    # and every operation of the audit list has a row
+    assert set(OP_TO_VERB) == set(surfaces)
 
 
 @pytest.fixture
@@ -458,3 +526,47 @@ def test_mapcheck_loads_a_shared_path_once(capsys, monkeypatch, tmp_path, torus_
     other.write_text(text)
     code, out3, _ = run_cli(capsys, "mapcheck", torus_file, str(other), str(map_path), "--pages")
     assert code == 0 and out3 == out and len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"m": "2"},  # used to exit 3 with a TypeError
+        {"m": True},
+        {"samples": 5},  # used to exit 3 with a TypeError
+        {"samples": [{"x": 1}, {"x": 2}]},  # used to exit 3 with a TypeError
+        {"closed": "no"},  # used to read as closed and answer with exit 0
+    ],
+)
+def test_maslov_index_rejects_malformed_path_files(capsys, tmp_path, field):
+    path = write_json(tmp_path, "path.json", {"m": 1, "closed": True, "samples": HALF_TURN, **field})
+    code, out, err = run_cli(capsys, "maslov", "index", path)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [
+        3,  # used to exit 3 with a TypeError
+        [5],  # used to exit 3 with a TypeError
+        [["1/2", None]],  # used to exit 3 with a TypeError
+        [["1/2", 2.7]],  # used to truncate to 2 and answer Sigma = 2, lambda = 1/4
+        [["1/2", True]],  # used to read as 1
+        [["1/2", 2, 3]],
+    ],
+)
+def test_maslov_monotone_rejects_malformed_classes(capsys, tmp_path, classes):
+    path = write_json(tmp_path, "classes.json", {"classes": classes})
+    code, out, err = run_cli(capsys, "maslov", "monotone", path)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_maslov_well_formed_inputs_still_answer(capsys, tmp_path):
+    path = write_json(tmp_path, "path.json", {"m": 1, "closed": True, "samples": HALF_TURN})
+    code, out, _ = run_cli(capsys, "maslov", "index", path)
+    assert code == 0 and json.loads(out) == {"index": 1}
+    path = write_json(tmp_path, "classes.json", {"classes": [["1/2", 2]]})
+    code, out, _ = run_cli(capsys, "maslov", "monotone", path)
+    assert code == 0 and json.loads(out) == {"monotone": True, "sigma": "1/2", "Sigma": 2, "lambda": "1/4"}

@@ -16,8 +16,9 @@ from filtcoh.complexes import FilteredComplex, Generator, serialize_complex
 from filtcoh.morse import QuantumEdge, TorusSpec, parse_matching, quantum_perturbed_torus
 from filtcoh.obstruction import LaurentPoly, PreconditionError, check_page_recursion, rank_balance
 from filtcoh.spectral import (
+    _Engine,
     _differential_matrices,
-    _states_up_to,
+    _initial_state,
     k_stable,
     pages_tsv,
     stabilization_bound,
@@ -28,10 +29,19 @@ from conftest import quantum_matching, random_complex
 # -- the literal recursion, page by page up to the bound -----------------------
 
 
+def literal_states(c: FilteredComplex, top: int):
+    """States 0..top of the recursion, advanced with no stopping rule."""
+    eng = _Engine(c)
+    states = [_initial_state(eng)]
+    for _ in range(top):
+        states.append(spectral._advance(eng, states[-1]))
+    return eng, states
+
+
 def literal_pages(c: FilteredComplex, top: int):
     """Per k = 0..top: (dims by grade, rank of d^k by grade) from the
     literal recursion."""
-    eng, states = _states_up_to(c, top)
+    eng, states = literal_states(c, top)
     return [
         (s.dims(), {n: m.rank() for n, m in _differential_matrices(eng, s).items()})
         for s in states
@@ -69,8 +79,8 @@ def literal_balance(pages, sig, bound):
 
 
 def literal_iso(f: FilteredMap, top: int) -> dict[int, bool]:
-    _, src = _states_up_to(f.source, top)
-    _, tgt = _states_up_to(f.target, top)
+    _, src = literal_states(f.source, top)
+    _, tgt = literal_states(f.target, top)
     return {k: _induced_on_states(f, k, src[k], tgt[k]).iso for k in range(1, top + 1)}
 
 
@@ -184,6 +194,31 @@ def test_oracle_recursion_advance_count_gate(advances, capsys, tmp_path):
     assert stabilization_bound(c) == 44
     assert run(["oracle", write(tmp_path, c)]) == 0
     assert json.loads(capsys.readouterr().out) == {"pages_checked": 44, "mismatches": []}
+    assert advances[0] <= 3
+
+
+def test_pages_reads_only_the_pages_asked_for(advances, capsys, tmp_path):
+    # quantum T^5 stops at E^3; two pages need two advances and no look past them
+    assert run(["pages", write(tmp_path, quantum_torus(5)), "--max-k", "2"]) == 0
+    assert [row["k"] for row in json.loads(capsys.readouterr().out)["pages"]][-1] == 2
+    assert advances[0] <= 2
+
+
+@pytest.mark.parametrize("argv, report", [((), {"violations": []}), (("--balance",), {"rank_balance": True})])
+def test_recursion_advance_count_gate(advances, capsys, tmp_path, argv, report):
+    assert run(["recursion", write(tmp_path, quantum_torus(5)), *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == report
+    assert advances[0] <= 3
+
+
+def test_mapcheck_pages_shares_one_pass(advances, capsys, tmp_path):
+    c = quantum_torus(5)
+    path = write(tmp_path, c)
+    ident = tmp_path / "ident.json"
+    ident.write_text(json.dumps({"entries": [[g.id, g.id] for g in c.generators]}))
+    assert run(["mapcheck", path, path, str(ident), "--pages"]) == 0
+    iso = json.loads(capsys.readouterr().out)["iso_on_pages"]
+    assert len(iso) == 20 and all(iso.values())
     assert advances[0] <= 3
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .complexes import ComplexFormatError, FilteredComplex, InternalError, Violation
-from .gf2 import BitMatrix, column_map, coset_solver
+from .gf2 import column_map, coset_matrix
 from .spectral import _Pages, stabilization_bound
 
 __all__ = [
@@ -228,31 +228,21 @@ def iso_on_pages(f: FilteredMap) -> dict[int, bool]:
 def _induced_on_states(f: FilteredMap, k: int, src_state, tgt_state) -> PageMapReport:
     """The map on the page cells presented by two stage-k states; every
     occupied grade of a complex has an entry in its states' reps."""
+    sig = f.source.sigma_maslov
     matrices = {}
-    iso = True
     for n in sorted(set(src_state.reps) | set(tgt_state.reps)):
-        j = n % f.source.sigma_maslov
         src_reps = src_state.reps.get(n, ())
         tgt_reps = tgt_state.reps.get(n, ())
         if not src_reps and not tgt_reps:
             continue
-        if not src_reps or not tgt_reps:
-            matrices[(n, j)] = BitMatrix.zeros(len(tgt_reps), len(src_reps))
-            iso = False
-            continue
-        coords = coset_solver(tgt_reps, tgt_state.denom[n])
-        cols = []
-        for v in src_reps:
-            sol = coords.solve(f.apply(v))
-            if sol is None:
-                raise InternalError(
-                    "image of a page class escaped the target cell", k, (n, j), f.source.support_ids(v)
-                )
-            cols.append(sol)
-        mat = BitMatrix.from_columns(len(tgt_reps), cols)
-        matrices[(n, j)] = mat
-        if mat.rows != mat.cols or mat.rank() != mat.rows:
-            iso = False
+
+        def escaped(v: int) -> None:
+            raise InternalError(
+                "image of a page class escaped the target cell", k, (n, n % sig), f.source.support_ids(v)
+            )
+
+        matrices[(n, n % sig)] = coset_matrix(f.apply, src_reps, tgt_reps, tgt_state.denom.get(n), escaped)
+    iso = all(m.rows == m.cols and m.rank() == m.rows for m in matrices.values())
     return PageMapReport(k, matrices, iso)
 
 

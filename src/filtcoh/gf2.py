@@ -4,7 +4,11 @@ Vectors are Python ints used as bitsets: bit ``j`` is coordinate ``j``.
 All echelon forms pick the lowest-index available column as pivot, so every
 basis produced here is the canonical reduced row echelon basis of its span
 and is reproducible bit-for-bit across runs. Every elimination runs on one
-incremental builder, ``Echelon``.
+incremental builder, ``Echelon``, and two primitives on it carry the solving:
+``Echelon.relations`` collects the relations among tagged vectors (kernels,
+intersections, preimages), and ``coset_matrix`` writes a linear map in the
+coordinates of coset representatives modulo a denominator (page
+differentials and induced page maps).
 """
 
 from __future__ import annotations
@@ -118,6 +122,11 @@ class Echelon:
         self.mask |= low
         self.support |= v
         return None
+
+    def relations(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
+        """Relate each (v, tag) pair in turn; the tags of the relations found."""
+        found = (self.relate(v, tag) for v, tag in pairs)
+        return [rel for rel in found if rel is not None]
 
     def solve(self, v: int) -> Optional[int]:
         """Tag of the rows summing to v in a tracking builder, or None when v
@@ -255,12 +264,9 @@ class BitMatrix:
     def kernel_basis(self) -> "Subspace":
         """Canonical basis of the right kernel {v : M v = 0}: the relations
         among the columns, found by inserting column j tagged ``1 << j``."""
-        ech = Echelon(self.rows, track=True)
-        relations = []
-        for j, col in enumerate(self.transpose()._rows):
-            rel = ech.relate(col, 1 << j)
-            if rel is not None:
-                relations.append(rel)
+        relations = Echelon(self.rows, track=True).relations(
+            (col, 1 << j) for j, col in enumerate(self.transpose()._rows)
+        )
         return Subspace.from_vectors(self.cols, relations)
 
     def __repr__(self):
@@ -377,12 +383,7 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         big, small = (self, other) if self.dim >= other.dim else (other, self)
-        ech = Echelon.of(big, tags=big.basis)
-        common = []
-        for b in small.basis:
-            rel = ech.relate(b, 0)
-            if rel is not None:
-                common.append(rel)
+        common = Echelon.of(big, tags=big.basis).relations((b, 0) for b in small.basis)
         return Subspace.from_vectors(self.ambient_dim, common)
 
     def within(self, mask: int) -> "Subspace":
@@ -414,6 +415,24 @@ def coset_solver(reps: Sequence[int], denom: Subspace) -> Echelon:
     return ech
 
 
+def coset_matrix(apply: Callable[[int], int], src: Sequence[int], reps: Sequence[int],
+                 denom: Optional[Subspace], escaped: Callable[[int], None]) -> BitMatrix:
+    """Matrix of the linear map ``apply`` from ``src`` into span(reps) + denom,
+    in the coordinates of ``reps`` modulo ``denom``. ``escaped(v)`` must raise;
+    it is called for a v in src whose image lies outside. An empty ``src`` or
+    ``reps`` gives the zero matrix, and ``denom`` is then not read."""
+    if not src or not reps:
+        return BitMatrix.zeros(len(reps), len(src))
+    coords = coset_solver(reps, denom)
+    columns = []
+    for v in src:
+        sol = coords.solve(apply(v))
+        if sol is None:
+            escaped(v)
+        columns.append(sol)
+    return BitMatrix.from_columns(len(reps), columns)
+
+
 def preimage(apply_fn: Callable[[int], int], a: "Subspace", b: "Subspace") -> "Subspace":
     """{x in A : f(x) in B} for a linear f given by ``apply_fn``.
 
@@ -422,12 +441,7 @@ def preimage(apply_fn: Callable[[int], int], a: "Subspace", b: "Subspace") -> "S
     """
     if a.dim == 0:
         return a
-    ech = Echelon.of(b, tags=(0,) * b.dim)
-    kernel = []
-    for x in a.basis:
-        rel = ech.relate(apply_fn(x), x)
-        if rel is not None:
-            kernel.append(rel)
+    kernel = Echelon.of(b, tags=(0,) * b.dim).relations((apply_fn(x), x) for x in a.basis)
     return Subspace.from_vectors(a.ambient_dim, kernel)
 
 

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .complexes import FilteredComplex, InternalError
-from .gf2 import BitMatrix, Echelon, Subspace, column_map, coset_solver, preimage, subquotient
+from .gf2 import BitMatrix, Echelon, Subspace, column_map, coset_matrix, preimage, subquotient
 
 __all__ = [
     "Page",
@@ -200,26 +200,17 @@ def _differential_matrices(eng: _Engine, state: _State) -> dict[int, BitMatrix]:
     deg = state.s * eng.sig + 1
     out: dict[int, BitMatrix] = {}
     for n in eng.grades:
-        src = state.reps[n]
-        tgt = state.reps.get(n + deg, ())
-        if not src:
-            out[n] = BitMatrix.zeros(len(tgt), 0)
-            continue
-        if not tgt:
-            out[n] = BitMatrix.zeros(0, len(src))
-            continue
-        coords = coset_solver(tgt, state.denom[n + deg])
-        columns = []
-        for v in src:
-            sol = coords.solve(eng.apply_delta(v))
-            if sol is None:
-                raise InternalError(
-                    f"d^{state.s} escaped the target cell {(n + deg, (n + deg) % eng.sig)}; "
-                    "page recursion is inconsistent",
-                    state.s, (n, n % eng.sig), eng.c.support_ids(v),
-                )
-            columns.append(sol)
-        out[n] = BitMatrix.from_columns(len(tgt), columns)
+
+        def escaped(v: int) -> None:
+            raise InternalError(
+                f"d^{state.s} escaped the target cell {(n + deg, (n + deg) % eng.sig)}; "
+                "page recursion is inconsistent",
+                state.s, (n, n % eng.sig), eng.c.support_ids(v),
+            )
+
+        out[n] = coset_matrix(
+            eng.apply_delta, state.reps[n], state.reps.get(n + deg, ()), state.denom.get(n + deg), escaped
+        )
     state.matrices = out
     return out
 

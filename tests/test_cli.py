@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from filtcoh import chain_maps, cli, cohomology, complexes, maslov, morse, obstruction, spectral
+from filtcoh import chain_maps, cli, cohomology, complexes, gf2, maslov, morse, obstruction, spectral
 from filtcoh.cli import OP_TO_VERB, VERBS, _emit, build_parser, run
 from filtcoh.complexes import build_complex, serialize_complex
 from filtcoh.morse import TorusSpec, torus_complex
@@ -436,7 +436,7 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, quantum_file)
         def solve(self, v):
             return None
 
-    monkeypatch.setattr(spectral, "coset_solver", lambda reps, denom: Lost())
+    monkeypatch.setattr(gf2, "coset_solver", lambda reps, denom: Lost())
     code, out, err = run_cli(capsys, "kl", quantum_file)
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1

@@ -11,6 +11,7 @@ from .complexes import (
     FilteredComplex,
     Generator,
     GradedPiece,
+    InputError,
     Violation,
     associated_graded,
     build_complex,

@@ -6,11 +6,10 @@ cohomology pages."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .complexes import ComplexFormatError, FilteredComplex, InternalError, Violation
+from .complexes import ComplexFormatError, FilteredComplex, InputError, InternalError, Violation, load_json
 from .gf2 import column_map, coset_matrix
 from .spectral import _Pages, stabilization_bound
 
@@ -62,12 +61,7 @@ def delta_map(c: FilteredComplex) -> FilteredMap:
 def parse_map(text: str, source: FilteredComplex, target: FilteredComplex,
               degree: int = 0) -> FilteredMap:
     """Map file: { "entries": [ ["src_id", "dst_id"] ] }."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ComplexFormatError(
-            f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = load_json(text)
     if not isinstance(data, dict) or set(data) != {"entries"}:
         raise ComplexFormatError('map file must be {"entries": [...]}')
     if not isinstance(data["entries"], list):
@@ -203,9 +197,9 @@ def induced_page_map(f: FilteredMap, k: int) -> PageMapReport:
     flag that is True iff the map is bijective on every cell."""
     problems = verify_cochain_map(f)
     if problems:
-        raise ValueError("not a cochain map: " + "; ".join(v.rule for v in problems))
+        raise InputError("not a cochain map: " + "; ".join(v.rule for v in problems))
     if k < 1:
-        raise ValueError("page index must be >= 1")
+        raise InputError("page index must be >= 1")
     return _induced_on_states(f, k, _Pages(f.source).state(k), _Pages(f.target).state(k))
 
 
@@ -249,7 +243,7 @@ def _induced_on_states(f: FilteredMap, k: int, src_state, tgt_state) -> PageMapR
 def compose(second: FilteredMap, first: FilteredMap) -> FilteredMap:
     """second after first, as an entries list (mod-2 accumulated)."""
     if first.target != second.source:
-        raise ValueError("composition mismatch: first.target != second.source")
+        raise InputError("composition mismatch: first.target != second.source")
     entries = tuple(
         (g.id, t)
         for g, col in zip(first.source.generators, first.matrix_columns())
@@ -263,7 +257,7 @@ def compose(second: FilteredMap, first: FilteredMap) -> FilteredMap:
 def map_sum(f: FilteredMap, g: FilteredMap) -> FilteredMap:
     """f + g over GF(2) as an entries list."""
     if f.source != g.source or f.target != g.target or f.degree != g.degree:
-        raise ValueError("summands must share source, target, and degree")
+        raise InputError("summands must share source, target, and degree")
     entries = tuple(
         (gen.id, t)
         for gen, a, b in zip(f.source.generators, f.matrix_columns(), g.matrix_columns())

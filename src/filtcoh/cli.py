@@ -1,15 +1,18 @@
 """Command-line surface.
 
 Verbs dispatch onto the library operations in OP_TO_VERB, each row naming a
-function its verb calls. Library-only, reached from no verb: ``differential``
-and ``page_oracle`` (spectral), ``induced_page_map``, ``compose``, ``map_sum``
-and ``identity_map`` (chain_maps) and ``decomposition_search_colex``. Reports
-go to stdout as JSON (TSV for page dumps), diagnostics and warnings to stderr.
-Exit codes: 0 success / empty violations, 1 violations or "none" verdicts,
-2 usage or file errors and exceeded search budgets, 3 internal errors (a
-failed consistency check or any other unexpected exception, reported as one
-"internal error:" line on stderr). Complex files are read from a path or
-from stdin when the path is "-".
+function its verb calls. ``page`` is reached only through ``einfty``, since
+``poly`` reads dimensions through ``dims_page``. Library-only, reached from
+no verb: ``differential`` and ``page_oracle`` (spectral), ``induced_page_map``,
+``compose``, ``map_sum`` and ``identity_map`` (chain_maps) and
+``decomposition_search_colex``. Reports go to stdout as JSON (TSV for page
+dumps), diagnostics and warnings to stderr. Exit codes: 0 success / empty
+violations, 1 violations or "none" verdicts, 2 bad input (usage errors and
+every ``InputError``: malformed files, arguments out of range, unmet
+preconditions, exceeded budgets), 3 internal errors (a failed consistency
+check or any other exception, a ``ValueError`` from inside the engine
+included, reported as one "internal error:" line on stderr). Complex files
+are read from a path or from stdin when the path is "-".
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ from . import chain_maps, cohomology, maslov, morse, obstruction, spectral
 from .complexes import (
     ComplexFormatError,
     FilteredComplex,
+    InputError,
     as_fraction,
     associated_graded,
     format_fraction,
+    load_json,
     parse_complex,
     serialize_complex,
     validate,
@@ -46,7 +51,7 @@ OP_TO_VERB = {
     "pages_tsv": "pages",
     "k_stable": "kl",
     "oracle_comparison": "oracle",
-    "page": "poly",
+    "page": "pages",
     "poincare_laurent": "poly",
     "check_page_recursion": "recursion",
     "rank_balance": "recursion",
@@ -66,13 +71,15 @@ OP_TO_VERB = {
 }
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ComplexFormatError(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ComplexFormatError(str(exc)) from exc
 
 
 def _load(path: str) -> FilteredComplex:
@@ -179,7 +186,7 @@ def _cells(d: dict) -> list:
 
 def _cmd_poly(args) -> int:
     c = _load_valid(args.complex)
-    p = spectral.page(c, args.k)
+    p = spectral.dims_page(c, args.k)
     poly = obstruction.poincare_laurent(p)
     _emit({"k": args.k, "poly": poly.terms(), "pretty": str(poly)})
     return 0
@@ -205,15 +212,15 @@ def _decomp_target(args) -> obstruction.LaurentPoly:
     [exponent, coefficient] integer pairs with distinct exponents."""
     if args.target is None:
         if args.m < 0:
-            raise ValueError("--m must be >= 0")
+            raise InputError("--m must be >= 0")
         return obstruction.LaurentPoly.binomial_power(args.m)
-    terms = json.loads(args.target)
+    terms = load_json(args.target)
     if not isinstance(terms, list) or not all(
         isinstance(t, list) and len(t) == 2 and all(type(x) is int for x in t) for t in terms
     ):
-        raise ValueError("--target must be a JSON list of [exponent, coefficient] integer pairs")
+        raise InputError("--target must be a JSON list of [exponent, coefficient] integer pairs")
     if len({e for e, _ in terms}) != len(terms):
-        raise ValueError("--target lists an exponent twice")
+        raise InputError("--target lists an exponent twice")
     return obstruction.LaurentPoly(dict(terms))
 
 
@@ -253,7 +260,7 @@ def _cmd_audin(args) -> int:
 
 
 def _load_path_file(path: str) -> maslov.LagrangianPath:
-    data = json.loads(_read_text(path))
+    data = load_json(_read_text(path))
     if not (
         isinstance(data, dict) and set(data) == {"m", "closed", "samples"}
         and type(data["m"]) is int and type(data["closed"]) is bool and isinstance(data["samples"], list)
@@ -263,7 +270,7 @@ def _load_path_file(path: str) -> maslov.LagrangianPath:
 
 
 def _load_classes(path: str) -> maslov.DiskClassData:
-    data = json.loads(_read_text(path))
+    data = load_json(_read_text(path))
     if not (
         isinstance(data, dict) and set(data) == {"classes"} and isinstance(data["classes"], list)
         and all(isinstance(x, list) and len(x) == 2 and type(x[1]) is int for x in data["classes"])
@@ -344,7 +351,7 @@ def _cmd_gen(args) -> int:
         r=as_fraction(args.r, "r"),
     )
     if args.quantum is not None:
-        matching = morse.parse_matching(json.loads(_read_text(args.quantum)), args.m)
+        matching = morse.parse_matching(load_json(_read_text(args.quantum)), args.m)
         c = morse.quantum_perturbed_torus(spec, matching)
     else:
         c = morse.torus_complex(spec)
@@ -482,13 +489,7 @@ def run(argv) -> int:
         return 2
     try:
         return _DISPATCH[args.verb](args)
-    except (ComplexFormatError, maslov.FrameError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # InternalError, or a bug that raised anything else

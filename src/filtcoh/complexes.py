@@ -32,8 +32,26 @@ from .gf2 import BitMatrix, column_map
 RationalLike = Union[Fraction, int, str]
 
 
-class ComplexFormatError(ValueError):
+class InputError(ValueError):
+    """Bad input: a malformed file, an argument outside its range, a check
+    invoked outside its hypotheses or an exhausted budget. The CLI reports
+    exactly these with exit code 2; any other exception is an engine fault."""
+
+
+class ComplexFormatError(InputError):
     """Structurally malformed complex/map/matching file."""
+
+
+def load_json(text: str):
+    """The parsed JSON document; malformed text raises ComplexFormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ComplexFormatError(
+            f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ComplexFormatError(str(exc)) from exc
 
 
 class InternalError(AssertionError):
@@ -222,12 +240,7 @@ def parse_complex(text: str) -> FilteredComplex:
     (action window, action monotonicity, delta squared) are reported by
     ``validate``, not here.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ComplexFormatError(
-            f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = load_json(text)
     if not isinstance(data, dict):
         raise ComplexFormatError("top level must be a JSON object")
     unknown = set(data) - _TOP_FIELDS
@@ -454,7 +467,7 @@ def relabel_complex(c: FilteredComplex, mapping: dict[str, str]) -> FilteredComp
     """Rename generators through a bijective id mapping."""
     values = list(mapping.values())
     if len(set(values)) != len(values):
-        raise ValueError("relabeling is not injective")
+        raise InputError("relabeling is not injective")
     gens = tuple(Generator(mapping[g.id], g.action, g.maslov) for g in c.generators)
     edges = tuple((mapping[a], mapping[b]) for a, b in c.edges)
     return FilteredComplex(c.sigma_maslov, c.lam, c.r, gens, edges)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .complexes import ComplexFormatError, as_fraction
+from .complexes import ComplexFormatError, InputError, as_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,7 +42,7 @@ WINDING_TOL = 1e-6
 MAX_STEP_ANGLE = math.pi / 4
 
 
-class FrameError(ValueError):
+class FrameError(InputError):
     """A sampled frame fails the Lagrangian/orthonormality/sampling checks."""
 
 
@@ -71,6 +71,8 @@ class LagrangianPath:
         for k, a in enumerate(arrs):
             if a.shape != (2 * m, m):
                 raise FrameError(f"sample #{k} is not a 2m x m frame (shape {a.shape})")
+            if np.isnan(a).any():  # NaN passes every tolerance comparison below
+                raise FrameError(f"sample #{k} has a NaN entry")
         path = cls(m, arrs, closed)
         path.check_frames()
         return path
@@ -256,7 +258,7 @@ def unitary_subgroup_loop(
     """Closed frame loop U(t) = diag(exp(2 pi i t w)) @ frame for integer
     turn counts w; its det^2 winding is exactly 2 * sum(turns)."""
     if len(turns) != m:
-        raise ValueError("need one integer turn per dimension")
+        raise InputError("need one integer turn per dimension")
     import numpy as np
 
     if frame is None:

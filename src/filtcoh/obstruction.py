@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import FilteredComplex
+from .complexes import FilteredComplex, InputError
 from .spectral import Page, _Pages, stabilization_bound
 
 __all__ = [
@@ -182,7 +182,7 @@ def check_page_recursion(c: FilteredComplex) -> list[RecursionViolation]:
 DFS_NODE_BUDGET = 20_000_000
 
 
-class SearchBudgetExceeded(ValueError):
+class SearchBudgetExceeded(InputError):
     """The top-down decomposition search used up DFS_NODE_BUDGET nodes
     without a verdict."""
 
@@ -225,11 +225,11 @@ class DecompositionResult:
 
 def _check_search_args(target: LaurentPoly, sigma: int, k: int) -> None:
     if sigma < 1 or k < 1:
-        raise ValueError("sigma and k must be >= 1")
+        raise InputError("sigma and k must be >= 1")
     if not target.is_nonnegative():
-        raise ValueError("target must have nonnegative coefficients")
+        raise InputError("target must have nonnegative coefficients")
     if not target.is_zero() and target.min_exp < 0:
-        raise ValueError("target must be an ordinary polynomial (no negative exponents)")
+        raise InputError("target must be an ordinary polynomial (no negative exponents)")
 
 
 def decomposition_search(target: LaurentPoly, sigma: int, k: int) -> DecompositionResult:
@@ -522,7 +522,7 @@ def alternating_binomial_sum(m: int, n_top: int) -> int:
     """sum_{l=0}^{N} (-1)^l C(m, l); equals (-1)^N C(m-1, N). Each binomial
     comes from the one before, C(m, l+1) = C(m, l) (m - l) / (l + 1), exactly."""
     if m < 1 or n_top < 0:
-        raise ValueError("need m >= 1 and N >= 0")
+        raise InputError("need m >= 1 and N >= 0")
     total, term = 0, 1
     for l in range(min(n_top, m) + 1):
         total += -term if l & 1 else term
@@ -530,7 +530,7 @@ def alternating_binomial_sum(m: int, n_top: int) -> int:
     return total
 
 
-class PreconditionError(ValueError):
+class PreconditionError(InputError):
     """A check was invoked outside its stated hypotheses."""
 
 
@@ -642,7 +642,8 @@ def _audin_cases(m: int) -> tuple[AudinCase, ...]:
             witness = {
                 kk: alternating_binomial_sum(m, kk * sigma - 1) for kk in range(2, kmax + 1)
             }
-            assert all(v != 0 for v in witness.values())
+            if not all(witness.values()):
+                raise AssertionError(f"a truncated alternating sum vanishes for m = {m}, Sigma = {sigma}")
             cases.append(
                 AudinCase(
                     sigma,
@@ -668,13 +669,14 @@ def audin_decide(m: int) -> AudinReport:
     odd m after doubling to the product torus in dimension 2m (an even
     dimension has no escapes because an even period cannot divide m + 1)."""
     if m < 2:
-        raise ValueError("torus dimension must be >= 2")
+        raise InputError("torus dimension must be >= 2")
     cases = _audin_cases(m)
     resolution = None
     escapes = [case for case in cases if case.status == "escape"]
     if m % 2 == 1 and any((m + 1) % case.sigma == 0 for case in cases):
         resolution = audin_decide(2 * m)
-        assert not [case for case in resolution.cases if case.status == "escape"]
+        if any(case.status == "escape" for case in resolution.cases):
+            raise AssertionError(f"unresolved escape cases after doubling to m = {2 * m}")
     if escapes and resolution is None:
         raise AssertionError(f"unresolved escape cases for even m = {m}")
     return AudinReport(m=m, cases=cases, resolution=resolution, verdict=2)

@@ -28,7 +28,7 @@ One page sequence, ``_Pages``, runs the recursion for every reader, only as
 far as the reader asks. ``page``, ``differential``, ``einfty`` and
 ``chain_maps.induced_page_map`` expose representatives and denominators,
 which keep changing on stable pages, so they read the literal stage-k state.
-Readers of dimensions and ranks (``k_stable``, ``page_rows``,
+Readers of dimensions and ranks (``k_stable``, ``page_rows``, ``dims_page``,
 ``oracle_comparison``, ``check_page_recursion``, ``rank_balance``,
 ``iso_on_pages``) stop at the first page E^s (s >= 1) with no two nonzero
 cells k'*Sigma + 1 apart for any k' >= s: d^s and every later differential
@@ -40,13 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import FilteredComplex, InternalError
+from .complexes import FilteredComplex, InputError, InternalError
 from .gf2 import BitMatrix, Echelon, Subspace, column_map, coset_matrix, preimage, subquotient
 
 __all__ = [
     "Page",
     "PageCell",
     "page",
+    "dims_page",
     "differential",
     "k_stable",
     "einfty",
@@ -339,15 +340,26 @@ def _page_from_state(eng: _Engine, state: _State) -> Page:
 def page(c: FilteredComplex, k: int) -> Page:
     """Page E^k, k >= 1, via the homology recursion."""
     if k < 1:
-        raise ValueError("page index must be >= 1")
+        raise InputError("page index must be >= 1")
     pages = _Pages(c)
     return _page_from_state(pages.eng, pages.state(k))
+
+
+def dims_page(c: FilteredComplex, k: int) -> Page:
+    """A page with the cells and dimensions of E^k, for readers of
+    dimensions only: E^k itself, or the stop page E^s (its ``k`` is s) when
+    the recursion stops at s < k, since then E^k = E^s. No page past the
+    stop is computed."""
+    if k < 1:
+        raise InputError("page index must be >= 1")
+    pages = _Pages(c)
+    return _page_from_state(pages.eng, pages.state(pages.stage(k)))
 
 
 def differential(c: FilteredComplex, k: int) -> dict[tuple[int, int], BitMatrix]:
     """Matrices of d^k out of every cell (n, j), into (n + Sigma*k + 1, j+1)."""
     if k < 1:
-        raise ValueError("differential index must be >= 1")
+        raise InputError("differential index must be >= 1")
     pages = _Pages(c)
     mats = _differential_matrices(pages.eng, pages.state(k))
     return {(n, n % pages.eng.sig): m for n, m in mats.items()}
@@ -384,7 +396,7 @@ def _oracle_numerator_denominator(eng: _Engine, n: int, k: int) -> tuple[Subspac
 def page_oracle(c: FilteredComplex, k: int) -> Page:
     """Page E^k from the explicit subquotient formulas; no recursion."""
     if k < 1:
-        raise ValueError("page index must be >= 1")
+        raise InputError("page index must be >= 1")
     return _oracle_page(_Engine(c), k)
 
 
@@ -401,7 +413,7 @@ def _oracle_page(eng: _Engine, k: int) -> Page:
 def oracle_differential_ranks(c: FilteredComplex, k: int) -> dict[tuple[int, int], int]:
     """rank of d^k out of each cell, from the formula presentation only."""
     if k < 1:
-        raise ValueError("differential index must be >= 1")
+        raise InputError("differential index must be >= 1")
     return _oracle_ranks(_Engine(c), k)
 
 
@@ -431,7 +443,7 @@ def oracle_comparison(c: FilteredComplex, max_k: int):
     shares nothing with it but an engine of its own, and evaluates every k,
     so it also checks where the recursion stopped."""
     if max_k < 1:
-        raise ValueError("max_k must be >= 1")
+        raise InputError("max_k must be >= 1")
     pages = _Pages(c)
     sig = pages.eng.sig
     oracle_eng = _Engine(c)
@@ -449,7 +461,7 @@ def page_rows(c: FilteredComplex, max_k: int) -> list[tuple[int, int, int, int, 
     """(k, n, j, dim, rank of d^k) for every nonzero cell of E^1..E^max_k,
     ordered by (k, n, j)."""
     if max_k < 1:
-        raise ValueError("max_k must be >= 1")
+        raise InputError("max_k must be >= 1")
     pages = _Pages(c)
     rows = []
     for k in range(1, max_k + 1):

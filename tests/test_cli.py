@@ -447,6 +447,30 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, quantum_file)
         spectral.k_stable(complexes.parse_complex(open(quantum_file).read()))
 
 
+def test_engine_value_error_exits_3_not_2(capsys, monkeypatch, quantum_file):
+    # a ValueError from inside the engine, here a failed shape check of the
+    # GF(2) core, is a fault of the program, not bad input
+    def broken(self):
+        raise ValueError("row count mismatch")
+
+    monkeypatch.setattr(gf2.BitMatrix, "kernel_basis", broken)
+    code, out, err = run_cli(capsys, "kl", quantum_file)
+    assert code == 3 and out == ""
+    assert err == "internal error: ValueError: row count mismatch\n"
+
+
+def test_gen_torus_dimension_budget_exits_2_before_allocating(capsys, monkeypatch, tmp_path):
+    def allocated(self):
+        pytest.fail("the jitters of a torus past the budget were built")
+
+    monkeypatch.setattr(morse.TorusSpec, "jitters", allocated)
+    matching = write_json(tmp_path, "matching.json", {"matching": [{"from": [], "to": [1], "shift": 1}]})
+    for argv in (("--m", "64"), ("--m", str(morse.MAX_TORUS_DIM + 1)), ("--m", "64", "--quantum", matching)):
+        code, out, err = run_cli(capsys, "gen", "torus", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: torus dimension must be <= {morse.MAX_TORUS_DIM} (2^m generators)\n"
+
+
 def test_unexpected_exception_exits_3(capsys, monkeypatch, quantum_file):
     def boom(c):
         raise RuntimeError("lost cell\n  second line")

@@ -204,6 +204,16 @@ def test_pages_reads_only_the_pages_asked_for(advances, capsys, tmp_path):
     assert advances[0] <= 2
 
 
+def test_poly_reads_dimensions_only_up_to_the_stop(advances, capsys, tmp_path):
+    # quantum T^5 stops at E^3, so E^2000 has the dimensions of E^3
+    path = write(tmp_path, quantum_torus(5))
+    assert run(["poly", path, "--k", "2000"]) == 0
+    far = json.loads(capsys.readouterr().out)
+    assert advances[0] <= 3
+    assert run(["poly", path, "--k", "3"]) == 0
+    assert far == {**json.loads(capsys.readouterr().out), "k": 2000}
+
+
 @pytest.mark.parametrize("argv, report", [((), {"violations": []}), (("--balance",), {"rank_balance": True})])
 def test_recursion_advance_count_gate(advances, capsys, tmp_path, argv, report):
     assert run(["recursion", write(tmp_path, quantum_torus(5)), *argv]) == 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from filtcoh.gf2 import BitMatrix, Echelon, Subspace, column_map, coset_solver, preimage, subquotient
+from filtcoh.gf2 import BitMatrix, Echelon, Subspace, column_map, coset_matrix, coset_solver, preimage, subquotient
 
 
 def _span_solve(generators, v, n):
@@ -356,6 +356,62 @@ def test_coset_solver_and_subquotient_match_brute_force():
         outside = [x for x in range(1 << n) if x not in _span(a.basis)]
         for x in outside[:5]:
             assert solver.solve(x) is None
+
+
+def test_relations_span_exactly_the_relations():
+    # pairs (v_i, t_i) inserted after a tagged prefix B: the relations are the
+    # tags sum t_i + tag(b) over the sets c with sum v_i + b = 0, b in span(B)
+    rng = random.Random(19)
+    for _ in range(150):
+        n, p = rng.randint(1, 12), rng.randint(1, 12)
+        prefix = Subspace.from_vectors(n, _rand_vectors(rng, n, rng.randint(0, 3)))
+        prefix_tags = _rand_vectors(rng, p, prefix.dim)
+        vecs = _rand_vectors(rng, n, rng.randint(0, 8))
+        tags = _rand_vectors(rng, p, len(vecs))
+        found = Echelon.of(prefix, tags=prefix_tags).relations(zip(vecs, tags))
+        relations = set()
+        for c in range(1 << len(vecs)):
+            for d in range(1 << prefix.dim):
+                if _brute_apply(vecs, c) == _brute_apply(prefix.basis, d):
+                    relations.add(_brute_apply(tags, c) ^ _brute_apply(prefix_tags, d))
+        assert _span(found) == frozenset(relations)
+        # one relation per pair that leaves the span unchanged
+        assert len(found) == len(vecs) - (Subspace.from_vectors(n, prefix.basis + tuple(vecs)).dim - prefix.dim)
+
+
+def test_coset_matrix_matches_brute_force():
+    class Escaped(Exception):
+        pass
+
+    def escaped(v):
+        raise Escaped(v)
+
+    rng = random.Random(20)
+    for _ in range(120):
+        n, m = rng.randint(1, 12), rng.randint(1, 10)
+        denom = Subspace.from_vectors(n, _rand_vectors(rng, n, rng.randint(0, 4)))
+        a = Subspace.from_vectors(n, _rand_vectors(rng, n, rng.randint(0, 5)))
+        _, reps = subquotient(a, denom)  # independent modulo denom
+        cols = _rand_vectors(rng, n, m)
+        apply = column_map(cols)
+        src = _rand_vectors(rng, m, rng.randint(0, 6))
+        cell = _span(reps + denom.basis)
+        inside = [v for v in src if _brute_apply(cols, v) in cell]
+        for v in src if reps else ():
+            if _brute_apply(cols, v) in cell:
+                assert coset_matrix(apply, [v], reps, denom, escaped).cols == 1
+            else:
+                with pytest.raises(Escaped) as info:
+                    coset_matrix(apply, [v], reps, denom, escaped)
+                assert info.value.args == (v,)
+        mat = coset_matrix(apply, inside, reps, denom, escaped)
+        assert (mat.rows, mat.cols) == (len(reps), len(inside))
+        for i, v in enumerate(inside):
+            assert _brute_apply(reps, mat.column(i)) ^ _brute_apply(cols, v) in _span(denom.basis)
+        # an empty side gives the zero matrix and reads neither denom nor
+        # escaped, whatever the images
+        assert coset_matrix(apply, src, (), None, None) == BitMatrix.zeros(0, len(src))
+        assert coset_matrix(apply, (), reps, None, None) == BitMatrix.zeros(len(reps), 0)
 
 
 def _quadratic_check(ambient_dim, basis):

@@ -8,7 +8,10 @@ above them reach the encoding only through those primitives.
 
 Where the page recursion stops and how later pages are read is decided in
 ``spectral`` alone: other modules reach its private names only through the
-page sequence ``_Pages``."""
+page sequence ``_Pages``.
+
+No module holds an ``assert`` statement: consistency checks raise, so
+that they hold under ``python -O`` too."""
 
 import ast
 import importlib
@@ -45,3 +48,11 @@ def test_module_reaches_spectral_privates_only_through_the_page_sequence(name):
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "spectral":
             reached.append(node.attr)
     assert [n for n in reached if n.startswith("_") and n != "_Pages"] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_has_no_assert_statement(name):
+    # ``python -O`` strips assert statements, so a consistency check written
+    # as one would pass silently there; the engine raises explicitly
+    tree = ast.parse(Path(importlib.import_module(f"filtcoh.{name}").__file__).read_text(encoding="utf-8"))
+    assert [f"{name}.py:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -459,6 +459,25 @@ def test_engine_value_error_exits_3_not_2(capsys, monkeypatch, quantum_file):
     assert err == "internal error: ValueError: row count mismatch\n"
 
 
+def test_input_errors_outside_the_parsers_exit_2(capsys, tmp_path):
+    # bad input that surfaced as a plain ValueError from the standard library
+    # or numpy, which exit 2 only as input errors now that a ValueError from
+    # the engine exits 3
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff{}")
+    long_int = tmp_path / "long.json"
+    long_int.write_text('{"sigma_maslov": ' + "9" * 5000 + "}")
+    nan = write_json(tmp_path, "nan.json", {"m": 1, "closed": True, "samples": [[[math.nan], [0]], [[1], [0]]]})
+    for argv, message in [
+        (("validate", str(undecodable)), "error: 'utf-8' codec can't decode byte 0xff"),
+        (("validate", str(long_int)), "error: Exceeds the limit"),
+        (("maslov", "index", nan), "error: sample #0 has a NaN entry"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
 def test_gen_torus_dimension_budget_exits_2_before_allocating(capsys, monkeypatch, tmp_path):
     def allocated(self):
         pytest.fail("the jitters of a torus past the budget were built")

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Verbs dispatch onto the library operations in OP_TO_VERB, each row naming a
-function its verb calls. ``page`` is reached only through ``einfty``, since
-``poly`` reads dimensions through ``dims_page``. Library-only, reached from
-no verb: ``differential`` and ``page_oracle`` (spectral), ``induced_page_map``,
+function its verb calls; ``page`` is reached through ``einfty`` (``pages
+--einfty``), and ``poly`` reads dimensions through ``dims_page``. Library-only,
+reached from no verb: ``differential`` and ``page_oracle`` (spectral), ``induced_page_map``,
 ``compose``, ``map_sum`` and ``identity_map`` (chain_maps) and
 ``decomposition_search_colex``. Reports go to stdout as JSON (TSV for page
 dumps), diagnostics and warnings to stderr. Exit codes: 0 success / empty

@@ -13,6 +13,7 @@ differentials and induced page maps).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -125,8 +126,12 @@ class Echelon:
 
     def relations(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
         """Relate each (v, tag) pair in turn; the tags of the relations found."""
-        found = (self.relate(v, tag) for v, tag in pairs)
-        return [rel for rel in found if rel is not None]
+        found = []
+        for v, tag in pairs:
+            rel = self.relate(v, tag)
+            if rel is not None:
+                found.append(rel)
+        return found
 
     def solve(self, v: int) -> Optional[int]:
         """Tag of the rows summing to v in a tracking builder, or None when v
@@ -265,7 +270,7 @@ class BitMatrix:
         """Canonical basis of the right kernel {v : M v = 0}: the relations
         among the columns, found by inserting column j tagged ``1 << j``."""
         relations = Echelon(self.rows, track=True).relations(
-            (col, 1 << j) for j, col in enumerate(self.transpose()._rows)
+            zip(self.transpose()._rows, [1 << j for j in range(self.cols)])
         )
         return Subspace.from_vectors(self.cols, relations)
 
@@ -383,7 +388,7 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         big, small = (self, other) if self.dim >= other.dim else (other, self)
-        common = Echelon.of(big, tags=big.basis).relations((b, 0) for b in small.basis)
+        common = Echelon.of(big, tags=big.basis).relations(zip(small.basis, repeat(0)))
         return Subspace.from_vectors(self.ambient_dim, common)
 
     def within(self, mask: int) -> "Subspace":
@@ -441,7 +446,7 @@ def preimage(apply_fn: Callable[[int], int], a: "Subspace", b: "Subspace") -> "S
     """
     if a.dim == 0:
         return a
-    kernel = Echelon.of(b, tags=(0,) * b.dim).relations((apply_fn(x), x) for x in a.basis)
+    kernel = Echelon.of(b, tags=(0,) * b.dim).relations(zip(map(apply_fn, a.basis), a.basis))
     return Subspace.from_vectors(a.ambient_dim, kernel)
 
 

@@ -20,8 +20,8 @@ from .complexes import (
 __all__ = ["TorusSpec", "torus_complex", "quantum_perturbed_torus", "subset_id"]
 
 # Largest torus dimension a spec accepts. T^m has 2^m generators, and time
-# and memory double with each step in m: `gen torus --m 16` takes 1.5 s and
-# 108 MB on a 2-vCPU host. Checked before anything of size 2^m is built.
+# and memory double with each step in m: `gen torus --m 16` takes 1.9 s and
+# 109 MB peak RSS on a 2-vCPU Xeon. Checked before anything of size 2^m is built.
 MAX_TORUS_DIM = 16
 
 

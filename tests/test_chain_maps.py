@@ -1,5 +1,9 @@
+import pytest
+
+from filtcoh import gf2
 from filtcoh.chain_maps import (
     FilteredMap,
+    _induced_on_states,
     compose,
     delta_map,
     identity_map,
@@ -8,9 +12,9 @@ from filtcoh.chain_maps import (
     verify_cochain_map,
     verify_homotopy,
 )
-from filtcoh.complexes import build_complex, relabel_complex
+from filtcoh.complexes import InternalError, build_complex, relabel_complex
 from filtcoh.morse import TorusSpec, torus_complex
-from filtcoh.spectral import stabilization_bound
+from filtcoh.spectral import _Pages, stabilization_bound
 from conftest import random_complex
 
 
@@ -141,3 +145,16 @@ def test_iso_at_page_one_propagates(rng):
             continue
         for k in range(2, stabilization_bound(c) + 1):
             assert induced_page_map(g, k).iso
+
+
+def test_page_class_escaping_its_cell_names_page_cell_and_generators(monkeypatch):
+    class Lost:
+        def solve(self, v):
+            return None
+
+    c = torus_complex(TorusSpec(m=2))
+    state = _Pages(c).state(1)  # built before the solver is broken
+    monkeypatch.setattr(gf2, "coset_solver", lambda reps, denom: Lost())
+    with pytest.raises(InternalError, match="image of a page class escaped the target cell") as info:
+        _induced_on_states(identity_map(c), 1, state, state)
+    assert (info.value.k, info.value.cell, info.value.ids) == (1, (-2, 0), ("x00",))

@@ -490,6 +490,18 @@ def test_gen_torus_dimension_budget_exits_2_before_allocating(capsys, monkeypatc
         assert err == f"error: torus dimension must be <= {morse.MAX_TORUS_DIM} (2^m generators)\n"
 
 
+def test_audin_consistency_check_survives_python_O():
+    # a vanishing truncated sum must stop the verdict even where -O strips asserts
+    child = (
+        "import sys; from filtcoh import cli, obstruction; "
+        "obstruction.alternating_binomial_sum = lambda m, n: 0; "
+        "sys.exit(cli.run(['audin', '--m', '9']))"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "internal error: AssertionError: a truncated alternating sum vanishes for m = 9, Sigma = 4\n"
+
+
 def test_unexpected_exception_exits_3(capsys, monkeypatch, quantum_file):
     def boom(c):
         raise RuntimeError("lost cell\n  second line")

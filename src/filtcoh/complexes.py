@@ -7,7 +7,9 @@ integer grade) and coboundary edges. Every generator's action must lie
 strictly inside the open window ``(r, r + sigma)``; every edge must raise the
 grade by ``1 + i*Sigma`` for a nonnegative integer window shift ``i``, with a
 strict action drop whenever ``i = 0``; and the total coboundary must square
-to zero over GF(2).
+to zero over GF(2). The structural rules (periods, ids, edges and the grade
+law) are enforced when a ``FilteredComplex`` is built; the three semantic
+ones (window, action drop, delta squared) are reported by ``validate``.
 
 File format (UTF-8 JSON, field names exact)::
 
@@ -90,11 +92,47 @@ class GradedPiece:
 
 @dataclass(frozen=True)
 class FilteredComplex:
+    """A complex whose structure is sound: building one raises
+    ComplexFormatError unless Sigma >= 1, lambda > 0, the ids are distinct,
+    and every edge joins known ids, is listed once and raises the grade by
+    1 + i*Sigma for an integer i >= 0."""
+
     sigma_maslov: int
     lam: Fraction
     r: Fraction
     generators: tuple[Generator, ...]
     edges: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        if self.sigma_maslov < 1:
+            raise ComplexFormatError("sigma_maslov must be >= 1")
+        if self.lam <= 0:
+            raise ComplexFormatError("lambda must be positive")
+        index = self._positions
+        if len(index) != len(self.generators):
+            seen = set()
+            for g in self.generators:
+                if g.id in seen:
+                    raise ComplexFormatError(f"duplicate generator id {g.id!r}")
+                seen.add(g.id)
+        seen_edges = set()
+        for k, (a, b) in enumerate(self.edges):
+            for gid in (a, b):
+                if gid not in index:
+                    raise ComplexFormatError(f"edge #{k}: unknown id {gid!r}")
+            if (a, b) in seen_edges:
+                raise ComplexFormatError(f"duplicate edge ({a!r}, {b!r})")
+            seen_edges.add((a, b))
+            jump = self.generators[index[b]].maslov - self.generators[index[a]].maslov
+            shift, rem = divmod(jump - 1, self.sigma_maslov)
+            if rem != 0:
+                raise ComplexFormatError(
+                    f"edge ({a!r}, {b!r}): grade jump {jump} gives non-integral window shift"
+                )
+            if shift < 0:
+                raise ComplexFormatError(
+                    f"edge ({a!r}, {b!r}): grade jump {jump} gives negative window shift {shift}"
+                )
 
     @property
     def sigma_action(self) -> Fraction:
@@ -213,7 +251,10 @@ def build_complex(
     generators: Iterable[tuple[str, RationalLike, int]],
     edges: Iterable[tuple[str, str]] = (),
 ) -> FilteredComplex:
-    """Construct a complex from plain data, coercing rationals; no validation."""
+    """Construct a complex from plain data, coercing rationals.
+
+    Raises ComplexFormatError on a structurally broken complex (see
+    FilteredComplex); the semantic invariants are left to ``validate``."""
     gens = tuple(
         Generator(gid, as_fraction(action, f"action of {gid!r}"), int(maslov))
         for gid, action, maslov in generators
@@ -232,13 +273,13 @@ _GEN_FIELDS = {"id", "action", "maslov"}
 
 
 def parse_complex(text: str) -> FilteredComplex:
-    """Parse and structurally check a complex file.
+    """Parse a complex file.
 
-    Raises ComplexFormatError on malformed syntax, non-rational numerics,
-    duplicate ids, unknown ids in edges, duplicate edges, and edges whose
-    grade jump is not 1 + i*Sigma with integer i >= 0. Semantic invariants
-    (action window, action monotonicity, delta squared) are reported by
-    ``validate``, not here.
+    Raises ComplexFormatError on malformed syntax, wrong fields or types and
+    non-rational numerics, and, when the complex is built, on a broken
+    structure (see FilteredComplex). Semantic invariants (action window,
+    action monotonicity, delta squared) are reported by ``validate``, not
+    here.
     """
     data = load_json(text)
     if not isinstance(data, dict):
@@ -251,17 +292,11 @@ def parse_complex(text: str) -> FilteredComplex:
         raise ComplexFormatError(f"missing top-level fields: {sorted(missing)}")
     if not isinstance(data["sigma_maslov"], int) or isinstance(data["sigma_maslov"], bool):
         raise ComplexFormatError("sigma_maslov must be an integer")
-    sigma_maslov = data["sigma_maslov"]
-    if sigma_maslov < 1:
-        raise ComplexFormatError("sigma_maslov must be >= 1")
     lam = as_fraction(data["lambda"], "lambda")
-    if lam <= 0:
-        raise ComplexFormatError("lambda must be positive")
     r = as_fraction(data["r"], "r")
     if not isinstance(data["generators"], list):
         raise ComplexFormatError("generators must be a list")
     gens = []
-    seen_ids = set()
     for k, item in enumerate(data["generators"]):
         if not isinstance(item, dict):
             raise ComplexFormatError(f"generator #{k} must be an object")
@@ -270,39 +305,16 @@ def parse_complex(text: str) -> FilteredComplex:
         gid = item["id"]
         if not isinstance(gid, str) or not gid:
             raise ComplexFormatError(f"generator #{k}: id must be a nonempty string")
-        if gid in seen_ids:
-            raise ComplexFormatError(f"duplicate generator id {gid!r}")
-        seen_ids.add(gid)
         if not isinstance(item["maslov"], int) or isinstance(item["maslov"], bool):
             raise ComplexFormatError(f"generator {gid!r}: maslov must be an integer")
         gens.append(Generator(gid, as_fraction(item["action"], f"action of {gid!r}"), item["maslov"]))
     if not isinstance(data["edges"], list):
         raise ComplexFormatError("edges must be a list")
-    grade = {g.id: g.maslov for g in gens}
-    edges = []
-    seen_edges = set()
     for k, item in enumerate(data["edges"]):
         if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, str) for x in item)):
             raise ComplexFormatError(f"edge #{k} must be a pair of id strings")
-        a, b = item
-        for gid in (a, b):
-            if gid not in grade:
-                raise ComplexFormatError(f"edge #{k}: unknown id {gid!r}")
-        if (a, b) in seen_edges:
-            raise ComplexFormatError(f"duplicate edge ({a!r}, {b!r})")
-        seen_edges.add((a, b))
-        jump = grade[b] - grade[a]
-        shift, rem = divmod(jump - 1, sigma_maslov)
-        if rem != 0:
-            raise ComplexFormatError(
-                f"edge ({a!r}, {b!r}): grade jump {jump} gives non-integral window shift"
-            )
-        if shift < 0:
-            raise ComplexFormatError(
-                f"edge ({a!r}, {b!r}): grade jump {jump} gives negative window shift {shift}"
-            )
-        edges.append((a, b))
-    return FilteredComplex(sigma_maslov, lam, r, tuple(gens), tuple(edges))
+    edges = tuple((a, b) for a, b in data["edges"])
+    return FilteredComplex(data["sigma_maslov"], lam, r, tuple(gens), edges)
 
 
 def serialize_complex(c: FilteredComplex) -> str:
@@ -320,72 +332,28 @@ def serialize_complex(c: FilteredComplex) -> str:
 
 
 def validate(c: FilteredComplex) -> list[Violation]:
-    """All semantic invariants; empty list iff the complex is valid.
+    """The semantic invariants; empty list iff the complex is valid. The
+    structural rules were enforced when the complex was built.
 
     Violations are data, not failures: each names the broken rule and the
     offending ids.
     """
     out: list[Violation] = []
-    if c.sigma_maslov < 1:
-        out.append(Violation("sigma-positive", (), f"sigma_maslov = {c.sigma_maslov} < 1"))
-        return out
-    if c.lam <= 0:
-        out.append(Violation("lambda-positive", (), f"lambda = {c.lam} is not positive"))
-    sigma = c.sigma_action
-    ids = [g.id for g in c.generators]
-    seen = set()
-    for gid in ids:
-        if gid in seen:
-            out.append(Violation("distinct-ids", (gid,), f"duplicate generator id {gid!r}"))
-        seen.add(gid)
-    if len(seen) != len(ids):
-        return out
-    index = c._index()
-
-    if c.lam > 0:
-        top = c.r + sigma
-        for g in c.generators:
-            if not (c.r < g.action < top):
-                out.append(
-                    Violation(
-                        "action-window",
-                        (g.id,),
-                        f"action {g.action} outside the open window ({c.r}, {top})",
-                    )
-                )
-
-    edges_ok = True
-    seen_edges = set()
-    for a, b in c.edges:
-        if a not in index or b not in index:
-            out.append(Violation("edge-ids", (a, b), "edge references an unknown id"))
-            edges_ok = False
-            continue
-        if (a, b) in seen_edges:
-            out.append(Violation("edge-duplicate", (a, b), "edge listed twice"))
-            edges_ok = False
-            continue
-        seen_edges.add((a, b))
-        ga, gb = c.generators[index[a]], c.generators[index[b]]
-        jump = gb.maslov - ga.maslov
-        shift, rem = divmod(jump - 1, c.sigma_maslov)
-        if rem != 0:
+    top = c.r + c.sigma_action
+    for g in c.generators:
+        if not (c.r < g.action < top):
             out.append(
                 Violation(
-                    "shift-integrality",
-                    (a, b),
-                    f"grade jump {jump} is not 1 + i*Sigma for integral i",
+                    "action-window",
+                    (g.id,),
+                    f"action {g.action} outside the open window ({c.r}, {top})",
                 )
             )
-            edges_ok = False
-            continue
-        if shift < 0:
-            out.append(
-                Violation("shift-nonnegative", (a, b), f"window shift {shift} is negative")
-            )
-            edges_ok = False
-            continue
-        if shift == 0 and not (ga.action > gb.action):
+
+    index = c._index()
+    for a, b in c.edges:
+        ga, gb = c.generators[index[a]], c.generators[index[b]]
+        if gb.maslov - ga.maslov == 1 and not (ga.action > gb.action):
             out.append(
                 Violation(
                     "action-monotone",
@@ -395,21 +363,21 @@ def validate(c: FilteredComplex) -> list[Violation]:
                 )
             )
 
-    if edges_ok:
-        cols = c.delta_columns()
-        apply_delta = column_map(cols)
-        for i, col in enumerate(cols):
-            acc = apply_delta(col)
-            if acc:
-                targets = c.support_ids(acc)
-                out.append(
-                    Violation(
-                        "delta-squared",
-                        (ids[i],) + targets,
-                        f"delta(delta({ids[i]!r})) has odd two-trajectory parity into "
-                        + ", ".join(repr(t) for t in targets),
-                    )
+    ids = [g.id for g in c.generators]
+    cols = c.delta_columns()
+    apply_delta = column_map(cols)
+    for i, col in enumerate(cols):
+        acc = apply_delta(col)
+        if acc:
+            targets = c.support_ids(acc)
+            out.append(
+                Violation(
+                    "delta-squared",
+                    (ids[i],) + targets,
+                    f"delta(delta({ids[i]!r})) has odd two-trajectory parity into "
+                    + ", ".join(repr(t) for t in targets),
                 )
+            )
     return out
 
 
@@ -464,10 +432,8 @@ def shift_complex(c: FilteredComplex, steps: int = 1) -> FilteredComplex:
 
 
 def relabel_complex(c: FilteredComplex, mapping: dict[str, str]) -> FilteredComplex:
-    """Rename generators through a bijective id mapping."""
-    values = list(mapping.values())
-    if len(set(values)) != len(values):
-        raise InputError("relabeling is not injective")
+    """Rename generators through an id mapping; one that merges two ids
+    raises ComplexFormatError when the renamed complex is built."""
     gens = tuple(Generator(mapping[g.id], g.action, g.maslov) for g in c.generators)
     edges = tuple((mapping[a], mapping[b]) for a, b in c.edges)
     return FilteredComplex(c.sigma_maslov, c.lam, c.r, gens, edges)

@@ -181,8 +181,6 @@ def quantum_perturbed_torus(
     edges = tuple(
         (subset_id(e.source, m), subset_id(e.target, m)) for e in matching
     )
-    if len(set(edges)) != len(edges):
-        raise ComplexFormatError("duplicate quantum edge")
     out = FilteredComplex(spec.sigma_maslov, spec.lam, spec.r, gens, edges)
     problems = validate(out)
     if problems:

@@ -9,12 +9,13 @@ from filtcoh.complexes import (
     associated_graded,
     build_complex,
     parse_complex,
+    relabel_complex,
     serialize_complex,
     shift_complex,
     validate,
     warnings,
 )
-from filtcoh.morse import TorusSpec, torus_complex
+from filtcoh.morse import QuantumEdge, TorusSpec, quantum_perturbed_torus, torus_complex
 from conftest import random_complex
 
 
@@ -91,6 +92,53 @@ def test_parse_negative_shift():
     doc["generators"][1]["maslov"] = -2
     with pytest.raises(ComplexFormatError, match="negative"):
         parse_complex(json.dumps(doc))
+
+
+PAIR = [("x", "3/4", 0), ("y", "1/2", 1)]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, "1/3", 0, [], []), "sigma_maslov must be >= 1"),
+        ((3, "0", 0, [], []), "lambda must be positive"),
+        ((3, "1/3", 0, [("x", "3/4", 0), ("x", "1/2", 1)], []), "duplicate generator id 'x'"),
+        ((3, "1/3", 0, PAIR, [("x", "zz")]), "edge #0: unknown id 'zz'"),
+        ((3, "1/3", 0, PAIR, [("x", "y"), ("x", "y")]), "duplicate edge ('x', 'y')"),
+        (
+            (4, "1/4", 0, [("x", "3/4", 0), ("y", "1/2", 2)], [("x", "y")]),
+            "edge ('x', 'y'): grade jump 2 gives non-integral window shift",
+        ),
+        (
+            (3, "1/3", 0, [("x", "3/4", 0), ("y", "1/2", -2)], [("x", "y")]),
+            "edge ('x', 'y'): grade jump -2 gives negative window shift -1",
+        ),
+    ],
+    ids=["sigma", "lambda", "distinct-ids", "edge-ids", "edge-duplicate", "shift-integrality", "shift-nonnegative"],
+)
+def test_construction_rejects_each_structural_rule_with_the_parse_message(args, message):
+    with pytest.raises(ComplexFormatError) as built:
+        build_complex(*args)
+    sig, lam, r, gens, edges = args
+    doc = {
+        "sigma_maslov": sig,
+        "lambda": lam,
+        "r": str(r),
+        "generators": [{"id": gid, "action": a, "maslov": n} for gid, a, n in gens],
+        "edges": [list(e) for e in edges],
+    }
+    with pytest.raises(ComplexFormatError) as parsed:
+        parse_complex(json.dumps(doc))
+    assert str(built.value) == str(parsed.value) == message
+
+
+def test_builders_reject_what_construction_rejects():
+    c = build_complex(3, "1/3", 0, PAIR, [("x", "y")])
+    with pytest.raises(ComplexFormatError, match="duplicate generator id 'z'"):
+        relabel_complex(c, {"x": "z", "y": "z"})
+    edge = QuantumEdge((), (1,), 1)
+    with pytest.raises(ComplexFormatError, match="duplicate edge"):
+        quantum_perturbed_torus(TorusSpec(m=1), [edge, edge])
 
 
 def test_validate_torus_fixture_clean():

@@ -37,6 +37,18 @@ __all__ = [
 ]
 
 
+# Budgets on the size arguments of decomp --m, binom --m and audin --m,
+# checked where each enters the library. Times are `filtcoh` subprocess wall
+# times on a 2-vCPU Xeon; each grows faster than linearly past its budget.
+# `decomp --m 3000 --sigma 3 --k 1` takes 0.84 s (6000: 3.5 s, 20000: 93 s).
+MAX_BINOMIAL_POWER = 3000
+# `binom --m 100000 --N 100000` takes 2.6 s (200000 with N = 100000: 5.2 s).
+MAX_BINOMIAL_SUM_M = 50_000
+# `audin --m 399` takes 0.62 s: an odd m is decided again at 2m, which is not
+# checked against this budget (801: 2.4 s, 2001: 36.7 s).
+MAX_AUDIN_DIM = 400
+
+
 class LaurentPoly:
     """Laurent polynomial with arbitrary-precision integer coefficients,
     stored as a map exponent -> coefficient with no explicit zeros."""
@@ -60,7 +72,9 @@ class LaurentPoly:
 
     @classmethod
     def binomial_power(cls, m: int) -> "LaurentPoly":
-        """(1 + t)^m."""
+        """(1 + t)^m, for m <= MAX_BINOMIAL_POWER."""
+        if m > MAX_BINOMIAL_POWER:
+            raise InputError(f"(1+t)^m needs m <= {MAX_BINOMIAL_POWER}")
         return cls({e: math.comb(m, e) for e in range(m + 1)})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -523,6 +537,8 @@ def alternating_binomial_sum(m: int, n_top: int) -> int:
     comes from the one before, C(m, l+1) = C(m, l) (m - l) / (l + 1), exactly."""
     if m < 1 or n_top < 0:
         raise InputError("need m >= 1 and N >= 0")
+    if m > MAX_BINOMIAL_SUM_M:
+        raise InputError(f"need m <= {MAX_BINOMIAL_SUM_M}")
     total, term = 0, 1
     for l in range(min(n_top, m) + 1):
         total += -term if l & 1 else term
@@ -670,11 +686,17 @@ def audin_decide(m: int) -> AudinReport:
     dimension has no escapes because an even period cannot divide m + 1)."""
     if m < 2:
         raise InputError("torus dimension must be >= 2")
+    if m > MAX_AUDIN_DIM:
+        raise InputError(f"torus dimension must be <= {MAX_AUDIN_DIM}")
+    return _audin_report(m)
+
+
+def _audin_report(m: int) -> AudinReport:
     cases = _audin_cases(m)
     resolution = None
     escapes = [case for case in cases if case.status == "escape"]
     if m % 2 == 1 and any((m + 1) % case.sigma == 0 for case in cases):
-        resolution = audin_decide(2 * m)
+        resolution = _audin_report(2 * m)
         if any(case.status == "escape" for case in resolution.cases):
             raise AssertionError(f"unresolved escape cases after doubling to m = {2 * m}")
     if escapes and resolution is None:

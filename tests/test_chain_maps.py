@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtcoh import gf2
 from filtcoh.chain_maps import (
@@ -116,6 +119,51 @@ def test_homotopic_maps_induce_equal_page_maps(rng):
             assert mf.matrices.keys() == mg.matrices.keys()
             for key in mf.matrices:
                 assert mf.matrices[key] == mg.matrices[key]
+
+
+def _plus_homotopy_reference(c, h_entries):
+    """Entries of id + delta H + H delta over GF(2), each column a set of
+    target ids, with no bit vectors."""
+    delta, h = {}, {}
+    for a, b in c.edges:
+        delta.setdefault(a, set()).add(b)
+    for a, b in h_entries:
+        h.setdefault(a, set()).add(b)
+
+    def apply(m, ids):
+        out = set()
+        for x in ids:
+            out ^= m.get(x, set())
+        return out
+
+    entries = []
+    for gen in c.generators:
+        col = {gen.id} ^ apply(delta, h.get(gen.id, ())) ^ apply(h, delta.get(gen.id, ()))
+        entries.extend((gen.id, t) for t in sorted(col))
+    return entries
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.data())
+def test_verify_homotopy_against_a_reference(seed, data):
+    c = random_complex(random.Random(seed), max_gens=10)
+    ids = [g.id for g in c.generators]
+    lawful = [
+        (a.id, b.id)
+        for a in c.generators
+        for b in c.generators
+        if (b.maslov - a.maslov + 1) % c.sigma_maslov == 0 and b.maslov - a.maslov >= -1
+    ]
+    h_entries = data.draw(st.lists(st.sampled_from(lawful), unique=True) if lawful else st.just([]))
+    h = FilteredMap(c, c, tuple(h_entries), degree=-1)
+    g_entries = _plus_homotopy_reference(c, h_entries)
+    f = identity_map(c)
+    assert verify_homotopy(f, FilteredMap(c, c, tuple(g_entries)), h) == []
+    if ids:
+        gid = data.draw(st.sampled_from(ids))
+        toggled = set(g_entries) ^ {(gid, gid)}
+        bad = verify_homotopy(f, FilteredMap(c, c, tuple(sorted(toggled))), h)
+        assert [(v.rule, v.ids) for v in bad] == [("homotopy-identity", (gid,))]
 
 
 def test_composition_of_induced_maps(rng):

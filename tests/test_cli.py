@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -549,6 +550,43 @@ def test_oracle_max_k_zero_exits_2(capsys, torus_file):
         assert err.splitlines()[-1] == "error: max_k must be >= 1"
     with pytest.raises(ValueError, match="max_k must be >= 1"):
         spectral.oracle_comparison(torus_complex(TorusSpec(m=2)), 0)
+
+
+@pytest.mark.parametrize("verb", ["pages", "oracle"])
+@pytest.mark.parametrize("max_k", [cli.MAX_K + 1, 10**9])
+def test_explicit_max_k_budget_exits_2_before_any_page(capsys, monkeypatch, torus_file, verb, max_k):
+    def computed(c):
+        pytest.fail("a page was computed for a --max-k past the budget")
+
+    monkeypatch.setattr(spectral, "_Engine", computed)
+    code, out, err = run_cli(capsys, verb, torus_file, "--max-k", str(max_k))
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: --max-k must be <= {cli.MAX_K}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (("decomp", "--m", "{}", "--sigma", "3", "--k", "1"), obstruction.MAX_BINOMIAL_POWER),
+        (("binom", "--m", "{}", "--N", "{}"), obstruction.MAX_BINOMIAL_SUM_M),
+        (("audin", "--m", "{}"), obstruction.MAX_AUDIN_DIM),
+    ],
+    ids=["decomp", "binom", "audin"],
+)
+@pytest.mark.parametrize("excess", [1, 10**9])
+def test_size_budgets_exit_2_before_allocating(capsys, argv, budget, excess):
+    build_parser()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *(a.format(budget + excess) for a in argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith(f"<= {budget}\n")
+    assert peak < 2**20
 
 
 def test_mapcheck_loads_a_shared_path_once(capsys, monkeypatch, tmp_path, torus_file):

@@ -1,6 +1,7 @@
 """The early stop of the page recursion, checked against the literal
 recursion run up to the grade-span bound, plus a count gate on page
-advances and a mutation of the stopping rule that the oracle must catch."""
+advances and mutations of the stopping rule and of the repair of deep
+representatives that the oracle must catch."""
 
 import json
 import random
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from filtcoh import spectral
 from filtcoh.chain_maps import FilteredMap, _induced_on_states, identity_map, iso_on_pages
 from filtcoh.cli import run
-from filtcoh.complexes import FilteredComplex, Generator, serialize_complex
+from filtcoh.complexes import FilteredComplex, Generator, build_complex, serialize_complex
 from filtcoh.morse import QuantumEdge, TorusSpec, parse_matching, quantum_perturbed_torus
 from filtcoh.obstruction import LaurentPoly, PreconditionError, check_page_recursion, rank_balance
 from filtcoh.spectral import (
@@ -243,3 +244,56 @@ def test_oracle_catches_a_stop_one_stage_early(monkeypatch, capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert report["pages_checked"] == 20
     assert {mm["k"] for mm in report["mismatches"]} == set(range(3, 21))
+
+
+# Two of the few small complexes on which skipping the repair shows:
+# conftest.random_complex(random.Random(seed), max_gens=12) for seeds 2014
+# and 713. On most complexes where the repair changes a representative, the
+# unrepaired one happens to give the same dimensions and ranks.
+REPAIR_CASES = {
+    "mismatch": (
+        (5, 2, -3,
+         [("g0", 4, 5), ("g1", 1, 12), ("g2", 0, 12), ("g3", -2, 14), ("g4", 6, -1),
+          ("g5", 2, 11), ("g6", 3, 10), ("g7", 5, 3), ("g8", -1, 13)],
+         [("g0", "g5"), ("g1", "g8"), ("g4", "g0"), ("g4", "g6"), ("g6", "g5"), ("g7", "g3")]),
+        1,
+    ),
+    "escape": (
+        (6, 1, 0,
+         [("g0", "54/11", 2), ("g1", "24/11", 8), ("g2", "12/11", 14), ("g3", "18/11", 11),
+          ("g4", "48/11", 2), ("g5", "6/11", 16), ("g6", "36/11", 7), ("g7", "60/11", 1),
+          ("g8", "30/11", 7), ("g9", "42/11", 5)],
+         [("g6", "g1"), ("g7", "g1"), ("g7", "g2")]),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPAIR_CASES))
+def test_oracle_catches_a_skipped_repair(monkeypatch, capsys, tmp_path, case):
+    args, mutant_code = REPAIR_CASES[case]
+    path = write(tmp_path, build_complex(*args))
+    repair = spectral._repairer
+    changed = []
+
+    def spied(eng, denom, k, n):
+        inner = repair(eng, denom, k, n)
+
+        def counted(v):
+            w = inner(v)
+            changed.append(w != v)
+            return w
+
+        return counted
+
+    monkeypatch.setattr(spectral, "_repairer", spied)
+    assert run(["oracle", path]) == 0
+    assert any(changed)  # the real repair moved a representative
+    capsys.readouterr()
+    monkeypatch.setattr(spectral, "_repairer", lambda eng, denom, k, n: lambda v: v)
+    assert run(["oracle", path]) == mutant_code
+    out, err = capsys.readouterr()
+    if mutant_code == 1:
+        assert json.loads(out)["mismatches"] and err == ""
+    else:
+        assert out == "" and err.count("\n") == 1 and err.startswith("internal error: InternalError: ")

@@ -13,6 +13,10 @@ preconditions, exceeded budgets), 3 internal errors (a failed consistency
 check or any other exception, a ``ValueError`` from inside the engine
 included, reported as one "internal error:" line on stderr). Complex files
 are read from a path or from stdin when the path is "-".
+
+Importing this module loads only ``complexes`` and ``gf2`` of the engine,
+which every verb that reads a complex needs; each command imports the
+engine modules it calls, so a process pays only for the modules of its verb.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import argparse
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import chain_maps, cohomology, maslov, morse, obstruction, spectral
 from .complexes import (
     ComplexFormatError,
     FilteredComplex,
@@ -36,6 +40,9 @@ from .complexes import (
     validate,
     warnings as complex_warnings,
 )
+
+if TYPE_CHECKING:
+    from . import maslov, obstruction
 
 # coverage audit: operation -> the verb whose command calls it (tests run
 # every verb with each operation spied and assert the call)
@@ -129,6 +136,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_cohom(args) -> int:
+    from . import cohomology
+
     c = _load_valid(args.complex)
     out = cohomology.integer_graded_cohomology(c).as_dict()
     if args.pieces:
@@ -141,6 +150,8 @@ def _cmd_cohom(args) -> int:
 
 
 def _cmd_hf(args) -> int:
+    from . import cohomology
+
     c = _load_valid(args.complex)
     hf = cohomology.zsigma_cohomology(c)
     filt = cohomology.hf_filtration(c)
@@ -150,6 +161,8 @@ def _cmd_hf(args) -> int:
 
 def _max_k(args, c: FilteredComplex) -> int:
     """The explicit --max-k, at most MAX_K, or else the stabilization bound."""
+    from . import spectral
+
     if args.max_k is None:
         return spectral.stabilization_bound(c)
     if args.max_k > MAX_K:
@@ -158,6 +171,8 @@ def _max_k(args, c: FilteredComplex) -> int:
 
 
 def _cmd_pages(args) -> int:
+    from . import spectral
+
     c = _load_valid(args.complex)
     if args.einfty:
         limit = spectral.einfty(c)
@@ -176,12 +191,16 @@ def _cmd_pages(args) -> int:
 
 
 def _cmd_kl(args) -> int:
+    from . import spectral
+
     c = _load_valid(args.complex)
     _emit({"k_stable": spectral.k_stable(c)})
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    from . import spectral
+
     c = _load_valid(args.complex)
     bound = _max_k(args, c)
     mismatches = []
@@ -201,6 +220,8 @@ def _cells(d: dict) -> list:
 
 
 def _cmd_poly(args) -> int:
+    from . import obstruction, spectral
+
     c = _load_valid(args.complex)
     p = spectral.dims_page(c, args.k)
     poly = obstruction.poincare_laurent(p)
@@ -209,6 +230,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_recursion(args) -> int:
+    from . import obstruction
+
     c = _load_valid(args.complex)
     if args.balance:
         try:
@@ -226,6 +249,8 @@ def _cmd_recursion(args) -> int:
 def _decomp_target(args) -> obstruction.LaurentPoly:
     """The target of --m (at least 0), or of --target: a JSON list of
     [exponent, coefficient] integer pairs with distinct exponents."""
+    from . import obstruction
+
     if args.target is None:
         if args.m < 0:
             raise InputError("--m must be >= 0")
@@ -241,6 +266,8 @@ def _decomp_target(args) -> obstruction.LaurentPoly:
 
 
 def _cmd_decomp(args) -> int:
+    from . import obstruction
+
     target = _decomp_target(args)
     result = obstruction.decomposition_search(target, args.sigma, args.k)
     out = {
@@ -260,12 +287,16 @@ def _cmd_decomp(args) -> int:
 
 
 def _cmd_binom(args) -> int:
+    from . import obstruction
+
     value = obstruction.alternating_binomial_sum(args.m, args.N)
     _emit({"m": args.m, "N": args.N, "value": value})
     return 0
 
 
 def _cmd_audin(args) -> int:
+    from . import obstruction
+
     report = obstruction.audin_decide(args.m)
     if args.table:
         print(report.table())
@@ -276,6 +307,8 @@ def _cmd_audin(args) -> int:
 
 
 def _load_path_file(path: str) -> maslov.LagrangianPath:
+    from . import maslov
+
     data = load_json(_read_text(path))
     if not (
         isinstance(data, dict) and set(data) == {"m", "closed", "samples"}
@@ -286,6 +319,8 @@ def _load_path_file(path: str) -> maslov.LagrangianPath:
 
 
 def _load_classes(path: str) -> maslov.DiskClassData:
+    from . import maslov
+
     data = load_json(_read_text(path))
     if not (
         isinstance(data, dict) and set(data) == {"classes"} and isinstance(data["classes"], list)
@@ -296,6 +331,8 @@ def _load_classes(path: str) -> maslov.DiskClassData:
 
 
 def _cmd_maslov(args) -> int:
+    from . import maslov
+
     if args.action == "index":
         path = _load_path_file(args.file)
         _emit({"index": maslov.maslov_loop_index(path)})
@@ -337,6 +374,8 @@ def _cmd_maslov(args) -> int:
 
 
 def _cmd_mapcheck(args) -> int:
+    from . import chain_maps
+
     source = _load_valid(args.source)
     # one load when both ends are the same file (or both read stdin)
     target = source if args.target == args.source else _load_valid(args.target)
@@ -357,6 +396,8 @@ def _cmd_mapcheck(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import morse
+
     spec = morse.TorusSpec(
         m=args.m,
         lam=as_fraction(args.lam, "lambda"),

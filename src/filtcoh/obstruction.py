@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .complexes import FilteredComplex, InputError
-from .spectral import Page, _Pages, stabilization_bound
+
+if TYPE_CHECKING:
+    from .spectral import Page
 
 __all__ = [
     "LaurentPoly",
@@ -166,6 +168,8 @@ class RecursionViolation:
 def check_page_recursion(c: FilteredComplex) -> list[RecursionViolation]:
     """Verify P(E^k) = P(E^{k+1}) + (1 + t^(-k*Sigma-1)) P(B^k) for every k
     up to stabilization, with B^k the image of d^k indexed by target grade."""
+    from .spectral import _Pages, stabilization_bound
+
     sig = c.sigma_maslov
     pages = _Pages(c)
     out = []
@@ -553,6 +557,8 @@ class PreconditionError(InputError):
 def rank_balance(c: FilteredComplex) -> bool:
     """Signed rank bookkeeping: for even Sigma and vanishing limit page,
     sum_j (-1)^j sum_{pages k} dim_j(E^k) must cancel to zero exactly."""
+    from .spectral import _Pages, stabilization_bound
+
     sig = c.sigma_maslov
     if sig % 2 != 0:
         raise PreconditionError(f"rank balance needs an even Maslov period, got {sig}")

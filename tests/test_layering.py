@@ -11,14 +11,23 @@ Where the page recursion stops and how later pages are read is decided in
 page sequence ``_Pages``.
 
 No module holds an ``assert`` statement: consistency checks raise, so
-that they hold under ``python -O`` too."""
+that they hold under ``python -O`` too.
+
+A process loads only the modules its verb calls: ``import filtcoh.cli``
+loads ``complexes`` and ``gf2`` of the engine and not numpy, and the
+package's exports load their module on first use."""
 
 import ast
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ABOVE_THE_ENCODING = ("spectral", "cohomology", "chain_maps", "obstruction", "cli")
 BIT_TOKENS = ("<<", ".bit_length")
@@ -56,3 +65,71 @@ def test_module_has_no_assert_statement(name):
     # as one would pass silently there; the engine raises explicitly
     tree = ast.parse(Path(importlib.import_module(f"filtcoh.{name}").__file__).read_text(encoding="utf-8"))
     assert [f"{name}.py:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+# the names the package exported when it imported every module eagerly
+EXPORTS = set(
+    """ComplexFormatError FilteredComplex Generator GradedPiece InputError Violation
+    associated_graded build_complex parse_complex relabel_complex serialize_complex
+    shift_complex validate GradedDims HFFiltration hf_filtration integer_graded_cohomology
+    zsigma_cohomology Page PageCell differential einfty k_stable page page_oracle pages_tsv
+    stabilization_bound FilteredMap compose identity_map induced_page_map verify_cochain_map
+    verify_homotopy DiskClassData LagrangianPath compatibility_check kunneth_index
+    maslov_loop_index monotone_constants window_lift AudinReport LaurentPoly
+    alternating_binomial_sum audin_decide check_page_recursion decomposition_search
+    poincare_laurent rank_balance QuantumEdge TorusSpec quantum_perturbed_torus
+    torus_complex""".split()
+)
+ENGINE_ABOVE_COMPLEXES = ("spectral", "cohomology", "chain_maps", "maslov", "morse", "obstruction")
+
+
+def fresh(code: str):
+    """Run code in a fresh interpreter and return the JSON it prints."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_engine_module_above_complexes():
+    loaded = fresh("import sys, json, filtcoh.cli; print(json.dumps(sorted(sys.modules)))")
+    assert "filtcoh.complexes" in loaded and "filtcoh.gf2" in loaded
+    assert [m for m in (*(f"filtcoh.{n}" for n in ENGINE_ABOVE_COMPLEXES), "numpy") if m in loaded] == []
+
+
+def test_binom_loads_obstruction_but_not_spectral():
+    loaded = fresh(
+        "import io, json, sys; from filtcoh import cli; out, sys.stdout = sys.stdout, io.StringIO(); "
+        "code = cli.run(['binom', '--m', '6', '--N', '3']); sys.stdout = out; "
+        "print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    assert loaded[0] == 0
+    assert "filtcoh.obstruction" in loaded[1] and "filtcoh.spectral" not in loaded[1]
+
+
+def test_every_export_is_its_modules_object_and_is_not_stored_in_the_package():
+    report = fresh(
+        "import json, sys, filtcoh\n"
+        "before = set(vars(filtcoh))\n"
+        "names = filtcoh.__all__\n"
+        "wrong = [n for n in names if getattr(sys.modules[getattr(filtcoh, n).__module__], n) is not getattr(filtcoh, n)]\n"
+        "stored = sorted(set(names) & set(vars(filtcoh)))\n"
+        "mods = [getattr(filtcoh, m) is sys.modules['filtcoh.' + m] for m in ('spectral', 'maslov', 'gf2')]\n"
+        "print(json.dumps([names, wrong, stored, mods, sorted(set(names) & before)]))"
+    )
+    names, wrong, stored, mods, before = report
+    assert sorted(names) == sorted(EXPORTS) and len(names) == len(set(names))
+    assert wrong == [] and stored == [] and before == []
+    assert mods == [True, True, True]
+
+
+def test_star_import_binds_every_export():
+    bound = fresh("import json; from filtcoh import *; print(json.dumps(sorted(n for n in dir() if not n.startswith('_'))))")
+    assert set(bound) == EXPORTS | {"json"}
+
+
+def test_unknown_name_raises_attribute_error():
+    report = fresh(
+        "import json, filtcoh\n"
+        "try:\n    filtcoh.no_such_name\nexcept AttributeError as exc:\n    print(json.dumps(str(exc)))"
+    )
+    assert report == "module 'filtcoh' has no attribute 'no_such_name'"

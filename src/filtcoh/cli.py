@@ -11,7 +11,8 @@ violations, 1 violations or "none" verdicts, 2 bad input (usage errors and
 every ``InputError``: malformed files, arguments out of range, unmet
 preconditions, exceeded budgets), 3 internal errors (a failed consistency
 check or any other exception, a ``ValueError`` from inside the engine
-included, reported as one "internal error:" line on stderr). Complex files
+included, reported as one "internal error:" line on stderr), 141 when the
+reader of stdout is gone (``main`` only; nothing is printed). Complex files
 are read from a path or from stdin when the path is "-".
 
 Importing this module loads only ``complexes`` and ``gf2`` of the engine,
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -173,6 +175,8 @@ def _max_k(args, c: FilteredComplex) -> int:
 def _cmd_pages(args) -> int:
     from . import spectral
 
+    if args.einfty and (args.max_k is not None or args.tsv):
+        raise InputError("pages --einfty takes neither --max-k nor --tsv")
     c = _load_valid(args.complex)
     if args.einfty:
         limit = spectral.einfty(c)
@@ -543,6 +547,8 @@ def run(argv) -> int:
         return 2
     try:
         return _DISPATCH[args.verb](args)
+    except BrokenPipeError:
+        raise  # the reader of stdout is gone, which main() reports
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -552,8 +558,22 @@ def run(argv) -> int:
         return 3
 
 
+# Exit code when the reader of stdout is gone: 128 + SIGPIPE, what a shell
+# reports for a writer killed by that signal.
+EXIT_BROKEN_PIPE = 141
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        # a write still buffered would otherwise fail at interpreter shutdown
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at shutdown has nowhere
+        # to fail (the SIGPIPE note in the docs of the signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

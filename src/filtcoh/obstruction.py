@@ -39,9 +39,10 @@ __all__ = [
 ]
 
 
-# Budgets on the size arguments of decomp --m, binom --m and audin --m,
-# checked where each enters the library. Times are `filtcoh` subprocess wall
-# times on a 2-vCPU Xeon; each grows faster than linearly past its budget.
+# Budgets on the size arguments of decomp (--m, and the largest exponent of
+# --target), binom --m and audin --m, checked where each enters the library.
+# Times are `filtcoh` subprocess wall times on a 2-vCPU Xeon; each grows
+# faster than linearly past its budget.
 # `decomp --m 3000 --sigma 3 --k 1` takes 0.84 s (6000: 3.5 s, 20000: 93 s).
 MAX_BINOMIAL_POWER = 3000
 # `binom --m 100000 --N 100000` takes 2.6 s (200000 with N = 100000: 5.2 s).
@@ -248,6 +249,10 @@ def _check_search_args(target: LaurentPoly, sigma: int, k: int) -> None:
         raise InputError("target must have nonnegative coefficients")
     if not target.is_zero() and target.min_exp < 0:
         raise InputError("target must be an ordinary polynomial (no negative exponents)")
+    # the search holds one coefficient per exponent up to the largest, so
+    # an explicit target shares the budget of (1+t)^m
+    if target.max_exp > MAX_BINOMIAL_POWER:
+        raise InputError(f"target exponents must be <= {MAX_BINOMIAL_POWER}")
 
 
 def decomposition_search(target: LaurentPoly, sigma: int, k: int) -> DecompositionResult:

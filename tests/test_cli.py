@@ -663,3 +663,56 @@ def test_maslov_well_formed_inputs_still_answer(capsys, tmp_path):
     path = write_json(tmp_path, "classes.json", {"classes": [["1/2", 2]]})
     code, out, _ = run_cli(capsys, "maslov", "monotone", path)
     assert code == 0 and json.loads(out) == {"monotone": True, "sigma": "1/2", "Sigma": 2, "lambda": "1/4"}
+
+
+@pytest.mark.parametrize("argv", [("--max-k", "0"), ("--max-k", "5000"), ("--max-k", "3"), ("--tsv",)])
+def test_pages_einfty_takes_neither_max_k_nor_tsv(capsys, torus_file, argv):
+    code, out, err = run_cli(capsys, "pages", torus_file, "--einfty", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: pages --einfty takes neither --max-k nor --tsv\n"
+
+
+@pytest.mark.parametrize("excess", [1, 10**9])
+def test_decomp_target_exponent_budget_exits_2_before_the_search(capsys, monkeypatch, excess):
+    def read(self, e):
+        pytest.fail("a coefficient was read for a target past the budget")
+
+    exponent = obstruction.MAX_BINOMIAL_POWER + excess
+    monkeypatch.setattr(obstruction.LaurentPoly, "coeff", read)
+    code, out, err = run_cli(capsys, "decomp", "--target", f"[[0,1],[{exponent},2]]", "--sigma", "3", "--k", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: target exponents must be <= {obstruction.MAX_BINOMIAL_POWER}\n"
+    target = obstruction.LaurentPoly({exponent: 1})
+    for search in (obstruction.decomposition_search, obstruction.decomposition_search_colex):
+        with pytest.raises(complexes.InputError, match="target exponents must be <="):
+            search(target, 3, 1)
+
+
+def test_decomp_target_at_the_exponent_budget_is_searched(capsys):
+    exponent = obstruction.MAX_BINOMIAL_POWER
+    code, out, _ = run_cli(capsys, "decomp", "--target", f"[[{exponent},1]]", "--sigma", "3", "--k", "1")
+    assert code == 1 and json.loads(out)["target"] == [[exponent, 1]]
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    # T^12 is 367 KB of JSON, far past a 64 KiB pipe buffer; decomp's report
+    # fits in one buffer, so only the final flush meets the closed pipe
+    [("gen", "torus", "--m", "12"), ("decomp", "--m", "40", "--sigma", "3", "--k", "1")],
+    ids=["gen", "decomp"],
+)
+def test_closed_stdout_exits_141_quietly(argv, buffered):
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "filtcoh.cli", *argv],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader leaves before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""

@@ -43,7 +43,7 @@ _EXPORTS = {
     "morse": ("QuantumEdge", "TorusSpec", "quantum_perturbed_torus", "torus_complex"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"gf2", "cli"}
+_SUBMODULES = frozenset(_EXPORTS) | {"gf2"}
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
 __version__ = "0.1.0"

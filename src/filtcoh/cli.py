@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Verbs dispatch onto the library operations in OP_TO_VERB, each row naming a
-function its verb calls; ``page`` is reached through ``einfty`` (``pages
---einfty``), and ``poly`` reads dimensions through ``dims_page``. Library-only,
-reached from no verb: ``differential`` and ``page_oracle`` (spectral), ``induced_page_map``,
-``compose``, ``map_sum`` and ``identity_map`` (chain_maps) and
-``decomposition_search_colex``. Reports go to stdout as JSON (TSV for page
+function its verb calls; ``pages --einfty`` and ``poly`` read page dimensions
+through ``page_dims``, at the page where the spectral sequence stops.
+Library-only, reached from no verb: ``page``, ``einfty``, ``differential`` and
+``page_oracle`` (spectral), ``induced_page_map``, ``compose``, ``map_sum`` and
+``identity_map`` (chain_maps), ``poincare_laurent`` and
+``decomposition_search_colex`` (obstruction). Reports go to stdout as JSON (TSV for page
 dumps), diagnostics and warnings to stderr. Exit codes: 0 success / empty
 violations, 1 violations or "none" verdicts, 2 bad input (usage errors and
 every ``InputError``: malformed files, arguments out of range, unmet
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -55,13 +57,11 @@ OP_TO_VERB = {
     "integer_graded_cohomology": "cohom",
     "zsigma_cohomology": "hf",
     "hf_filtration": "hf",
-    "einfty": "pages",
     "page_rows": "pages",
     "pages_tsv": "pages",
     "k_stable": "kl",
     "oracle_comparison": "oracle",
-    "page": "pages",
-    "poincare_laurent": "poly",
+    "page_dims": "poly",
     "check_page_recursion": "recursion",
     "rank_balance": "recursion",
     "decomposition_search": "decomp",
@@ -179,10 +179,10 @@ def _cmd_pages(args) -> int:
         raise InputError("pages --einfty takes neither --max-k nor --tsv")
     c = _load_valid(args.complex)
     if args.einfty:
-        limit = spectral.einfty(c)
+        limit = spectral.page_dims(c, math.inf)
         _emit({
-            "k": limit.k,
-            "cells": [[n, j, cell.dim] for (n, j), cell in sorted(limit.cells.items()) if cell.dim],
+            "k": spectral.stabilization_bound(c),
+            "cells": [[n, n % c.sigma_maslov, d] for n, d in sorted(limit.items())],
         })
         return 0
     max_k = _max_k(args, c)
@@ -227,8 +227,7 @@ def _cmd_poly(args) -> int:
     from . import obstruction, spectral
 
     c = _load_valid(args.complex)
-    p = spectral.dims_page(c, args.k)
-    poly = obstruction.poincare_laurent(p)
+    poly = obstruction.LaurentPoly(spectral.page_dims(c, args.k))
     _emit({"k": args.k, "poly": poly.terms(), "pretty": str(poly)})
     return 0
 

@@ -28,11 +28,13 @@ One page sequence, ``_Pages``, runs the recursion for every reader, only as
 far as the reader asks. ``page``, ``differential``, ``einfty`` and
 ``chain_maps.induced_page_map`` expose representatives and denominators,
 which keep changing on stable pages, so they read the literal stage-k state.
-Readers of dimensions and ranks (``k_stable``, ``page_rows``, ``dims_page``,
+Readers of dimensions and ranks (``k_stable``, ``page_rows``, ``page_dims``,
 ``oracle_comparison``, ``check_page_recursion``, ``rank_balance``,
 ``iso_on_pages``) stop at the first page E^s (s >= 1) with no two nonzero
 cells k'*Sigma + 1 apart for any k' >= s: d^s and every later differential
 vanish for degree reasons, so each later page is a copy of E^s with d^k = 0.
+The command line reads page dimensions through these readers only; ``page``,
+``differential``, ``einfty`` and ``page_oracle`` are library-only.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ __all__ = [
     "Page",
     "PageCell",
     "page",
-    "dims_page",
+    "page_dims",
     "differential",
     "k_stable",
     "einfty",
@@ -150,11 +152,7 @@ def stabilization_bound(c: FilteredComplex) -> int:
     grades = c.occupied_grades()
     if not grades:
         return 1
-    span = grades[-1] - grades[0]
-    k = 1
-    while k * c.sigma_maslov + 1 <= span:
-        k += 1
-    return k
+    return max(1, -(-(grades[-1] - grades[0]) // c.sigma_maslov))
 
 
 # -- recursion path ----------------------------------------------------------
@@ -280,15 +278,17 @@ def _advance(eng: _Engine, state: _State) -> _State:
 def _degenerate(eng: _Engine, state: _State) -> bool:
     """Whether E^s = E^infty for degree reasons, s = state.s: no two nonzero
     cells of E^s lie k'*Sigma + 1 apart for any k' >= s. Then d^s vanishes,
-    E^{s+1} has the same nonzero cells, and so on for every later page."""
-    live = [n for n in eng.grades if state.reps[n]]
-    occupied = set(live)
-    first = state.s * eng.sig + 1
-    for n in live:
-        for m in range(n + first, live[-1] + 1, eng.sig):
-            if m in occupied:
-                return False
-    return True
+    E^{s+1} has the same nonzero cells, and so on for every later page.
+    Such a pair joins class j to class j + 1 across a gap of at least
+    s*Sigma + 1, so the lowest nonzero cell of each class and the highest of
+    the next class decide."""
+    low, high = {}, {}
+    for n in eng.grades:
+        if state.reps[n]:
+            low.setdefault(n % eng.sig, n)
+            high[n % eng.sig] = n
+    reach = state.s * eng.sig + 1
+    return all(high.get((j + 1) % eng.sig, n) < n + reach for j, n in low.items())
 
 
 class _Pages:
@@ -329,31 +329,26 @@ class _Pages:
         return {n: m.rank() for n, m in _differential_matrices(self.eng, self.state(k)).items()}
 
 
-def _page_from_state(eng: _Engine, state: _State) -> Page:
-    cells = {}
-    for n in eng.grades:
-        j = n % eng.sig
-        cells[(n, j)] = PageCell(n, j, len(state.reps[n]), state.reps[n], state.denom[n])
-    return Page(state.s, eng.sig, cells)
-
-
 def page(c: FilteredComplex, k: int) -> Page:
     """Page E^k, k >= 1, via the homology recursion."""
     if k < 1:
         raise InputError("page index must be >= 1")
     pages = _Pages(c)
-    return _page_from_state(pages.eng, pages.state(k))
+    state, sig = pages.state(k), pages.eng.sig
+    cells = {
+        (n, n % sig): PageCell(n, n % sig, len(state.reps[n]), state.reps[n], state.denom[n])
+        for n in pages.eng.grades
+    }
+    return Page(k, sig, cells)
 
 
-def dims_page(c: FilteredComplex, k: int) -> Page:
-    """A page with the cells and dimensions of E^k, for readers of
-    dimensions only: E^k itself, or the stop page E^s (its ``k`` is s) when
-    the recursion stops at s < k, since then E^k = E^s. No page past the
-    stop is computed."""
+def page_dims(c: FilteredComplex, k: float) -> dict[int, int]:
+    """Nonzero dimensions of E^k by grade, for k >= 1 or k = math.inf (the
+    limit page). Read at the stop: E^k = E^s when the recursion stops at
+    s < k, and no page past the stop is computed."""
     if k < 1:
         raise InputError("page index must be >= 1")
-    pages = _Pages(c)
-    return _page_from_state(pages.eng, pages.state(pages.stage(k)))
+    return _Pages(c).dims(k)
 
 
 def differential(c: FilteredComplex, k: int) -> dict[tuple[int, int], BitMatrix]:

@@ -370,13 +370,11 @@ def test_verb_coverage_table(capsys, monkeypatch, tmp_path, quantum_file):
         "integer_graded_cohomology": cohomology.integer_graded_cohomology,
         "zsigma_cohomology": cohomology.zsigma_cohomology,
         "hf_filtration": cohomology.hf_filtration,
-        "einfty": spectral.einfty,
         "page_rows": spectral.page_rows,
         "pages_tsv": spectral.pages_tsv,
         "k_stable": spectral.k_stable,
         "oracle_comparison": spectral.oracle_comparison,
-        "page": spectral.page,
-        "poincare_laurent": obstruction.poincare_laurent,
+        "page_dims": spectral.page_dims,
         "check_page_recursion": obstruction.check_page_recursion,
         "rank_balance": obstruction.rank_balance,
         "decomposition_search": obstruction.decomposition_search,

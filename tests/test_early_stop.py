@@ -3,9 +3,12 @@ recursion run up to the grade-span bound, plus a count gate on page
 advances and mutations of the stopping rule and of the repair of deep
 representatives that the oracle must catch."""
 
+import hashlib
 import json
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +24,12 @@ from filtcoh.spectral import (
     _differential_matrices,
     _initial_state,
     k_stable,
+    page_dims,
     pages_tsv,
     stabilization_bound,
 )
 from conftest import quantum_matching, random_complex
+from test_page_outputs_pinned import PINNED_MORE
 
 
 # -- the literal recursion, page by page up to the bound -----------------------
@@ -121,6 +126,8 @@ def assert_matches_literal(c: FilteredComplex, shift: int) -> None:
     sig, bound = c.sigma_maslov, stabilization_bound(c)
     pages = literal_pages(c, bound + 2)
     assert k_stable(c) == literal_k_stable(pages, bound)
+    assert [page_dims(c, k) for k in range(1, bound + 3)] == [dims for dims, _ in pages[1:]]
+    assert page_dims(c, math.inf) == pages[bound][0]
     assert pages_tsv(c, bound + 2) == literal_tsv(pages, sig)
     assert [(v.k, v.lhs, v.rhs) for v in check_page_recursion(c)] == literal_recursion(pages, sig, bound)
     assert early_balance(c) == literal_balance(pages, sig, bound)
@@ -152,6 +159,51 @@ def quantum_tori(draw):
 @given(quantum_tori(), st.integers(0, 3))
 def test_early_stop_matches_literal_on_quantum_tori(c, shift):
     assert_matches_literal(c, shift)
+
+
+# -- the stop and the bound in closed form -------------------------------------
+
+
+def bound_by_walk(c: FilteredComplex) -> int:
+    """stabilization_bound as the walk over k, the reference for its closed form."""
+    grades = c.occupied_grades()
+    if not grades:
+        return 1
+    span = grades[-1] - grades[0]
+    k = 1
+    while k * c.sigma_maslov + 1 <= span:
+        k += 1
+    return k
+
+
+def test_stabilization_bound_matches_the_walk():
+    # every Sigma in 1..6 and span in 0..200, which is all a drawn test could draw
+    assert stabilization_bound(build_complex(3, 1, 0, [])) == 1 == bound_by_walk(build_complex(3, 1, 0, []))
+    for sig in range(1, 7):
+        for span in range(201):
+            c = build_complex(sig, 1, 0, [("a", "1/2", -span // 2), ("b", "1/2", span - span // 2)])
+            assert stabilization_bound(c) == bound_by_walk(c), (sig, span)
+
+
+def degenerate_by_walk(eng, state) -> bool:
+    """_degenerate as the walk over every grade between live cells, the reference."""
+    live = [n for n in eng.grades if state.reps[n]]
+    occupied = set(live)
+    first = state.s * eng.sig + 1
+    for n in live:
+        for m in range(n + first, live[-1] + 1, eng.sig):
+            if m in occupied:
+                return False
+    return True
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.dictionaries(st.integers(-30, 60), st.booleans(), max_size=12))
+def test_degenerate_matches_the_walk_over_the_grade_span(sig, s, cells):
+    # occupied grades, each live (a nonzero cell of E^s) or not
+    eng = SimpleNamespace(sig=sig, grades=sorted(cells))
+    state = SimpleNamespace(s=s, reps={n: (1,) if live else () for n, live in cells.items()})
+    assert spectral._degenerate(eng, state) == degenerate_by_walk(eng, state)
 
 
 # -- count gate and mutation ---------------------------------------------------
@@ -195,6 +247,15 @@ def test_oracle_recursion_advance_count_gate(advances, capsys, tmp_path):
     assert stabilization_bound(c) == 44
     assert run(["oracle", write(tmp_path, c)]) == 0
     assert json.loads(capsys.readouterr().out) == {"pages_checked": 44, "mismatches": []}
+    assert advances[0] <= 3
+
+
+def test_pages_einfty_advance_count_gate(advances, capsys, tmp_path):
+    # the limit page is read at the stop E^3, and k is still the bound
+    assert run(["pages", write(tmp_path, quantum_torus(5)), "--einfty"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["k"] == 20
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MORE["quantum5"]["pages-einfty"][1]
     assert advances[0] <= 3
 
 

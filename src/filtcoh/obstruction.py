@@ -200,6 +200,17 @@ def check_page_recursion(c: FilteredComplex) -> list[RecursionViolation]:
 # of running on.
 DFS_NODE_BUDGET = 20_000_000
 
+# Budget on the offset graph, sized as (deg T + 1) times the number of offsets
+# i*Sigma + 1 <= deg T with i <= k: the witness lists, the flow's arcs and the
+# top-down search's tables each hold about one entry per exponent and offset.
+# Subprocess wall times as above: at the limit, `decomp --m 3000 --sigma 2
+# --k 26` (size 78026) takes 1.3 s, as `--k 2` does; `--m 2000 --sigma 2
+# --k 1000` (2.0e6) took 4.5 s and 563 MB. A sparse target is sized by its
+# degree, not its support: `--target '[[0,1],[3000,1]]' --sigma 1 --k 2999`
+# (9.0e6) took 7.1 s. Odd Sigma can still run the top-down search to
+# DFS_NODE_BUDGET.
+MAX_OFFSET_GRAPH = 80_000
+
 
 class SearchBudgetExceeded(InputError):
     """The top-down decomposition search used up DFS_NODE_BUDGET nodes
@@ -245,6 +256,9 @@ class DecompositionResult:
 def _check_search_args(target: LaurentPoly, sigma: int, k: int) -> None:
     if sigma < 1 or k < 1:
         raise InputError("sigma and k must be >= 1")
+    # offsets past every admissible exponent carry nothing
+    if k > MAX_BINOMIAL_POWER:
+        raise InputError(f"k must be <= {MAX_BINOMIAL_POWER}")
     if not target.is_nonnegative():
         raise InputError("target must have nonnegative coefficients")
     if not target.is_zero() and target.min_exp < 0:
@@ -253,6 +267,9 @@ def _check_search_args(target: LaurentPoly, sigma: int, k: int) -> None:
     # an explicit target shares the budget of (1+t)^m
     if target.max_exp > MAX_BINOMIAL_POWER:
         raise InputError(f"target exponents must be <= {MAX_BINOMIAL_POWER}")
+    size = (target.max_exp + 1) * max(0, min(k, (target.max_exp - 1) // sigma))
+    if size > MAX_OFFSET_GRAPH:
+        raise InputError(f"offset graph size {size} (exponents times offsets) must be <= {MAX_OFFSET_GRAPH}")
 
 
 def decomposition_search(target: LaurentPoly, sigma: int, k: int) -> DecompositionResult:

@@ -94,6 +94,9 @@ class _Engine:
     """
 
     def __init__(self, c: FilteredComplex):
+        bound = stabilization_bound(c)
+        if bound > MAX_STABILIZATION_BOUND:
+            raise InputError(f"stabilization bound {bound} must be <= {MAX_STABILIZATION_BOUND}")
         self.c = c
         self.sig = c.sigma_maslov
         self.n_amb = len(c.generators)
@@ -144,6 +147,17 @@ class _Engine:
         boundary that lies in F_target certifies its own preimage condition.
         """
         return self.delta_filtration_image(source).within(self.c.filtration_mask(target))
+
+
+# Largest stabilization bound of a complex whose pages are computed, checked
+# where every page computation builds its _Engine, so before any page. Page
+# readers loop up to the bound, and one wide grade gap makes it huge. Every
+# fixture in use lies below it (quantum T^9: 376). At the limit, `kl` and
+# `oracle` on two generators at grades 0 and 1000 with Sigma = 1, which stop
+# only at E^1000, take 0.20 s and 0.36 s (`filtcoh` subprocess wall time on a
+# 2-vCPU Xeon); the work per page grows with the complex, which this budget
+# does not bound.
+MAX_STABILIZATION_BOUND = 1000
 
 
 def stabilization_bound(c: FilteredComplex) -> int:

@@ -568,10 +568,11 @@ def test_explicit_max_k_budget_exits_2_before_any_page(capsys, monkeypatch, toru
     "argv, budget",
     [
         (("decomp", "--m", "{}", "--sigma", "3", "--k", "1"), obstruction.MAX_BINOMIAL_POWER),
+        (("decomp", "--m", "4", "--sigma", "3", "--k", "{}"), obstruction.MAX_BINOMIAL_POWER),
         (("binom", "--m", "{}", "--N", "{}"), obstruction.MAX_BINOMIAL_SUM_M),
         (("audin", "--m", "{}"), obstruction.MAX_AUDIN_DIM),
     ],
-    ids=["decomp", "binom", "audin"],
+    ids=["decomp", "decomp-k", "binom", "audin"],
 )
 @pytest.mark.parametrize("excess", [1, 10**9])
 def test_size_budgets_exit_2_before_allocating(capsys, argv, budget, excess):
@@ -684,6 +685,32 @@ def test_decomp_target_exponent_budget_exits_2_before_the_search(capsys, monkeyp
     for search in (obstruction.decomposition_search, obstruction.decomposition_search_colex):
         with pytest.raises(complexes.InputError, match="target exponents must be <="):
             search(target, 3, 1)
+
+
+# size (deg T + 1) * #{i <= k : i*Sigma + 1 <= deg T}: one past the budget, and
+# the largest that any target within the exponent budget has
+@pytest.mark.parametrize(
+    "target, sigma, k, size",
+    [("[[0,1],[2962,1]]", 2, 27, obstruction.MAX_OFFSET_GRAPH + 1), ("[[0,1],[3000,1]]", 1, 3000, 3001 * 2999)],
+    ids=["budget+1", "largest"],
+)
+def test_decomp_offset_graph_budget_exits_2_before_allocating(capsys, target, sigma, k, size):
+    build_parser()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "decomp", "--target", target, "--sigma", str(sigma), "--k", str(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == f"error: offset graph size {size} (exponents times offsets) must be <= {obstruction.MAX_OFFSET_GRAPH}\n"
+    assert peak < 2**20
+
+
+def test_decomp_offset_graph_at_the_budget_is_searched(capsys):
+    # 2963 * 26 pairs, the most this target has within the budget
+    code, out, _ = run_cli(capsys, "decomp", "--target", "[[0,1],[2962,1]]", "--sigma", "2", "--k", "26")
+    assert code == 1 and json.loads(out)["k"] == 26
 
 
 def test_decomp_target_at_the_exponent_budget_is_searched(capsys):

@@ -307,6 +307,54 @@ def test_oracle_catches_a_stop_one_stage_early(monkeypatch, capsys, tmp_path):
     assert {mm["k"] for mm in report["mismatches"]} == set(range(3, 21))
 
 
+# -- the budget on the stabilization bound --------------------------------------
+
+FAR = 10**9  # a grade gap whose bound would take ~3.3e8 pages to walk
+
+
+def far_complexes() -> dict[str, FilteredComplex]:
+    matching = parse_matching({"matching": [{"from": [], "to": [1], "shift": FAR}]}, 2)
+    return {
+        "two cells": build_complex(3, 1, 0, [("a", "1/2", 0), ("z", "1/2", FAR)]),
+        "with an edge": build_complex(3, 1, 0, [("a", "3/4", 0), ("b", "1/2", 1), ("z", "1/2", FAR)], [("a", "b")]),
+        "quantum T^2": quantum_perturbed_torus(TorusSpec(m=2, sigma_maslov=4), matching),
+    }
+
+
+PAGE_VERBS = (
+    ("kl",), ("pages",), ("pages", "--tsv"), ("pages", "--einfty"), ("pages", "--max-k", "2"), ("oracle",),
+    ("oracle", "--max-k", "2"), ("poly", "--k", "2"), ("recursion",), ("recursion", "--balance"),
+)
+
+
+@pytest.mark.parametrize("name", sorted(far_complexes()))
+def test_page_verbs_refuse_a_bound_past_the_budget(advances, capsys, tmp_path, name):
+    c = far_complexes()[name]
+    bound = stabilization_bound(c)
+    assert bound > spectral.MAX_STABILIZATION_BOUND
+    path = write(tmp_path, c)
+    ident = tmp_path / "ident.json"
+    ident.write_text(json.dumps({"entries": [[g.id, g.id] for g in c.generators]}))
+    refused = f"error: stabilization bound {bound} must be <= {spectral.MAX_STABILIZATION_BOUND}\n"
+    for verb, *rest in (*PAGE_VERBS, ("mapcheck", path, str(ident), "--pages")):
+        assert run([verb, path, *rest]) == 2, (verb, *rest)
+        out, err = capsys.readouterr()
+        if rest == ["--balance"] and c.sigma_maslov % 2:
+            refused_here = f"precondition failure: rank balance needs an even Maslov period, got {c.sigma_maslov}\n"
+        else:
+            refused_here = refused
+        assert (out, err) == ("", refused_here), (verb, *rest)
+    assert advances[0] == 0
+
+
+def test_a_bound_at_the_budget_still_runs(capsys, tmp_path):
+    far = spectral.MAX_STABILIZATION_BOUND
+    path = write(tmp_path, build_complex(3, 1, 0, [("a", "1/2", 0), ("z", "1/2", 3 * far)]))
+    assert run(["kl", path]) == 0 and json.loads(capsys.readouterr().out) == {"k_stable": 1}
+    assert run(["pages", path, "--einfty"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"k": far, "cells": [[0, 0, 1], [3 * far, 0, 1]]}
+
+
 # Two of the few small complexes on which skipping the repair shows:
 # conftest.random_complex(random.Random(seed), max_gens=12) for seeds 2014
 # and 713. On most complexes where the repair changes a representative, the

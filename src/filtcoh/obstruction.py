@@ -205,7 +205,7 @@ DFS_NODE_BUDGET = 20_000_000
 # top-down search's tables each hold about one entry per exponent and offset.
 # Subprocess wall times as above: at the limit, `decomp --m 3000 --sigma 2
 # --k 26` (size 78026) takes 1.3 s, as `--k 2` does; `--m 2000 --sigma 2
-# --k 1000` (2.0e6) took 4.5 s and 563 MB. A sparse target is sized by its
+# --k 1000` (2.0e6) took 4.5 s and 562 MB. A sparse target is sized by its
 # degree, not its support: `--target '[[0,1],[3000,1]]' --sigma 1 --k 2999`
 # (9.0e6) took 7.1 s. Odd Sigma can still run the top-down search to
 # DFS_NODE_BUDGET.

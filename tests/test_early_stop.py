@@ -1,7 +1,8 @@
 """The early stop of the page recursion, checked against the literal
 recursion run up to the grade-span bound, plus a count gate on page
-advances and mutations of the stopping rule and of the repair of deep
-representatives that the oracle must catch."""
+advances, the closed forms of the stop and the bound against the walks
+they replace, the budget on the bound, and mutations of the stopping rule
+and of the repair of deep representatives that the oracle must catch."""
 
 import hashlib
 import json
@@ -178,10 +179,11 @@ def bound_by_walk(c: FilteredComplex) -> int:
 
 def test_stabilization_bound_matches_the_walk():
     # every Sigma in 1..6 and span in 0..200, which is all a drawn test could draw
-    assert stabilization_bound(build_complex(3, 1, 0, [])) == 1 == bound_by_walk(build_complex(3, 1, 0, []))
+    empty = build_complex(3, 1, 0, [])
+    assert stabilization_bound(empty) == 1 == bound_by_walk(empty)
     for sig in range(1, 7):
         for span in range(201):
-            c = build_complex(sig, 1, 0, [("a", "1/2", -span // 2), ("b", "1/2", span - span // 2)])
+            c = build_complex(sig, 1, 0, [("a", "1/2", -7), ("b", "1/2", span - 7)])
             assert stabilization_bound(c) == bound_by_walk(c), (sig, span)
 
 

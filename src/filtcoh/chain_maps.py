@@ -11,7 +11,7 @@ from functools import cache, cached_property
 
 from .complexes import ComplexFormatError, FilteredComplex, InputError, InternalError, Violation, load_json
 from .gf2 import column_map, coset_matrix
-from .spectral import _Pages, stabilization_bound
+from .spectral import _Pages
 
 __all__ = [
     "FilteredMap",
@@ -198,8 +198,6 @@ def induced_page_map(f: FilteredMap, k: int) -> PageMapReport:
     problems = verify_cochain_map(f)
     if problems:
         raise InputError("not a cochain map: " + "; ".join(v.rule for v in problems))
-    if k < 1:
-        raise InputError("page index must be >= 1")
     return _induced_on_states(f, k, _Pages(f.source).state(k), _Pages(f.target).state(k))
 
 
@@ -208,9 +206,9 @@ def iso_on_pages(f: FilteredMap) -> dict[int, bool]:
     every cell of E^k, for k up to the larger stabilization bound. Page k is
     read at the later of the two ends' stages, so that both present it at
     one literal stage; equal ends share one page sequence."""
-    bound = max(stabilization_bound(f.source), stabilization_bound(f.target))
     src = _Pages(f.source)
     tgt = src if f.target == f.source else _Pages(f.target)
+    bound = max(src.eng.bound, tgt.eng.bound)
 
     @cache
     def iso_at(s: int) -> bool:

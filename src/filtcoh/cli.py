@@ -3,6 +3,8 @@
 Verbs dispatch onto the library operations in OP_TO_VERB, each row naming a
 function its verb calls; ``pages --einfty`` and ``poly`` read page dimensions
 through ``page_dims``, at the page where the spectral sequence stops.
+``pages`` and ``oracle`` pass ``--max-k`` to ``spectral`` unchanged, which
+resolves the default page count and refuses one past its budget.
 Library-only, reached from no verb: ``page``, ``einfty``, ``differential`` and
 ``page_oracle`` (spectral), ``induced_page_map``, ``compose``, ``map_sum`` and
 ``identity_map`` (chain_maps), ``poincare_laurent`` and
@@ -79,13 +81,6 @@ OP_TO_VERB = {
     "quantum_perturbed_torus": "gen",
 }
 
-# Largest explicit --max-k that pages and oracle accept, well above the
-# stabilization bound of every fixture in use (quantum T^9: 376). The cost
-# and the output grow linearly past it: on T^2, `pages --max-k 1000000 --tsv`
-# takes 8.6 s and 506 MB and writes 46.7 MB. The default bound is never cut.
-MAX_K = 1000
-
-
 def _read_text(path: str) -> str:
     try:
         if path == "-":
@@ -161,17 +156,6 @@ def _cmd_hf(args) -> int:
     return 0
 
 
-def _max_k(args, c: FilteredComplex) -> int:
-    """The explicit --max-k, at most MAX_K, or else the stabilization bound."""
-    from . import spectral
-
-    if args.max_k is None:
-        return spectral.stabilization_bound(c)
-    if args.max_k > MAX_K:
-        raise InputError(f"--max-k must be <= {MAX_K}")
-    return args.max_k
-
-
 def _cmd_pages(args) -> int:
     from . import spectral
 
@@ -185,12 +169,11 @@ def _cmd_pages(args) -> int:
             "cells": [[n, n % c.sigma_maslov, d] for n, d in sorted(limit.items())],
         })
         return 0
-    max_k = _max_k(args, c)
     if args.tsv:
-        sys.stdout.write(spectral.pages_tsv(c, max_k))
+        sys.stdout.write(spectral.pages_tsv(c, args.max_k))
         return 0
     fields = ("k", "n", "j", "dim", "rank_dk")
-    _emit({"pages": [dict(zip(fields, row)) for row in spectral.page_rows(c, max_k)]})
+    _emit({"pages": [dict(zip(fields, row)) for row in spectral.page_rows(c, args.max_k)]})
     return 0
 
 
@@ -206,10 +189,9 @@ def _cmd_oracle(args) -> int:
     from . import spectral
 
     c = _load_valid(args.complex)
-    bound = _max_k(args, c)
     mismatches = []
     checked = 0
-    for k, fast, slow, rank_fast, rank_slow in spectral.oracle_comparison(c, bound):
+    for k, fast, slow, rank_fast, rank_slow in spectral.oracle_comparison(c, args.max_k):
         checked += 1
         if fast != slow:
             mismatches.append({"k": k, "kind": "dims", "page": _cells(fast), "oracle": _cells(slow)})

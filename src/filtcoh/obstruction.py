@@ -169,12 +169,12 @@ class RecursionViolation:
 def check_page_recursion(c: FilteredComplex) -> list[RecursionViolation]:
     """Verify P(E^k) = P(E^{k+1}) + (1 + t^(-k*Sigma-1)) P(B^k) for every k
     up to stabilization, with B^k the image of d^k indexed by target grade."""
-    from .spectral import _Pages, stabilization_bound
+    from .spectral import _Pages
 
     sig = c.sigma_maslov
     pages = _Pages(c)
     out = []
-    for k in range(1, stabilization_bound(c) + 1):
+    for k in range(1, pages.eng.bound + 1):
         lhs = LaurentPoly(pages.dims(k))
         nxt = LaurentPoly(pages.dims(k + 1))
         image = LaurentPoly({n + k * sig + 1: r for n, r in pages.ranks(k).items()})
@@ -579,7 +579,7 @@ class PreconditionError(InputError):
 def rank_balance(c: FilteredComplex) -> bool:
     """Signed rank bookkeeping: for even Sigma and vanishing limit page,
     sum_j (-1)^j sum_{pages k} dim_j(E^k) must cancel to zero exactly."""
-    from .spectral import _Pages, stabilization_bound
+    from .spectral import _Pages
 
     sig = c.sigma_maslov
     if sig % 2 != 0:
@@ -588,7 +588,7 @@ def rank_balance(c: FilteredComplex) -> bool:
     if pages.dims(math.inf):
         raise PreconditionError("rank balance needs a vanishing limit page (acyclic total complex)")
     total = 0
-    for k in range(1, stabilization_bound(c) + 1):
+    for k in range(1, pages.eng.bound + 1):
         for n, d in pages.dims(k).items():
             total += (-1) ** (n % sig) * d
     return total == 0

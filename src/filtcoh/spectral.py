@@ -35,6 +35,12 @@ cells k'*Sigma + 1 apart for any k' >= s: d^s and every later differential
 vanish for degree reasons, so each later page is a copy of E^s with d^k = 0.
 The command line reads page dimensions through these readers only; ``page``,
 ``differential``, ``einfty`` and ``page_oracle`` are library-only.
+
+This module owns page counts and page indexes. ``page_rows``, ``pages_tsv``
+and ``oracle_comparison`` read E^1..E^max_k, by default up to the
+stabilization bound; ``MAX_STABILIZATION_BOUND`` limits both an explicit
+max_k and the bound, and every reader of the recursion refuses a page index
+below 1 in ``_Pages.state``.
 """
 
 from __future__ import annotations
@@ -94,9 +100,9 @@ class _Engine:
     """
 
     def __init__(self, c: FilteredComplex):
-        bound = stabilization_bound(c)
-        if bound > MAX_STABILIZATION_BOUND:
-            raise InputError(f"stabilization bound {bound} must be <= {MAX_STABILIZATION_BOUND}")
+        self.bound = stabilization_bound(c)
+        if self.bound > MAX_STABILIZATION_BOUND:
+            raise InputError(f"stabilization bound {self.bound} must be <= {MAX_STABILIZATION_BOUND}")
         self.c = c
         self.sig = c.sigma_maslov
         self.n_amb = len(c.generators)
@@ -149,10 +155,11 @@ class _Engine:
         return self.delta_filtration_image(source).within(self.c.filtration_mask(target))
 
 
-# Largest stabilization bound of a complex whose pages are computed, checked
-# where every page computation builds its _Engine, so before any page. Page
-# readers loop up to the bound, and one wide grade gap makes it huge. Every
-# fixture in use lies below it (quantum T^9: 376). At the limit, `kl` and
+# Largest page count a reader walks, checked before any page: the default
+# count, the stabilization bound, where every page computation builds its
+# _Engine, and an explicit max_k (`_counted_pages`). One wide grade gap makes
+# the bound huge. Every fixture in use lies below it (quantum T^9: 376). At
+# the limit, `kl` and
 # `oracle` on two generators at grades 0 and 1000 with Sigma = 1, which stop
 # only at E^1000, take 0.20 s and 0.36 s (`filtcoh` subprocess wall time on a
 # 2-vCPU Xeon); the work per page grows with the complex, which this budget
@@ -310,7 +317,8 @@ class _Pages:
     asks: ``state(k)`` is the literal stage-k presentation, ``stage(k)`` the
     stage at which readers of dimensions and ranks read E^k (k, or the stop
     if that lies below k). `_degenerate` runs at most once per state, and
-    only on states below the page asked for."""
+    only on states below the page asked for. Every reader of the recursion
+    ends in ``state``, the one place that refuses a page index k < 1."""
 
     def __init__(self, c: FilteredComplex):
         self.eng = _Engine(c)
@@ -319,6 +327,8 @@ class _Pages:
         self._stop = math.inf
 
     def state(self, k: int) -> _State:
+        if k < 1:
+            raise InputError("page index must be >= 1")
         states = self._states
         while len(states) <= k:
             states.append(_advance(self.eng, states[-1]))
@@ -345,8 +355,6 @@ class _Pages:
 
 def page(c: FilteredComplex, k: int) -> Page:
     """Page E^k, k >= 1, via the homology recursion."""
-    if k < 1:
-        raise InputError("page index must be >= 1")
     pages = _Pages(c)
     state, sig = pages.state(k), pages.eng.sig
     cells = {
@@ -360,15 +368,11 @@ def page_dims(c: FilteredComplex, k: float) -> dict[int, int]:
     """Nonzero dimensions of E^k by grade, for k >= 1 or k = math.inf (the
     limit page). Read at the stop: E^k = E^s when the recursion stops at
     s < k, and no page past the stop is computed."""
-    if k < 1:
-        raise InputError("page index must be >= 1")
     return _Pages(c).dims(k)
 
 
 def differential(c: FilteredComplex, k: int) -> dict[tuple[int, int], BitMatrix]:
     """Matrices of d^k out of every cell (n, j), into (n + Sigma*k + 1, j+1)."""
-    if k < 1:
-        raise InputError("differential index must be >= 1")
     pages = _Pages(c)
     mats = _differential_matrices(pages.eng, pages.state(k))
     return {(n, n % pages.eng.sig): m for n, m in mats.items()}
@@ -445,19 +449,27 @@ def _oracle_ranks(eng: _Engine, k: int) -> dict[tuple[int, int], int]:
 # -- reporting ---------------------------------------------------------------
 
 
-def oracle_comparison(c: FilteredComplex, max_k: int):
-    """Per k = 1..max_k: (k, recursion dims, oracle dims, recursion ranks of
-    d^k, oracle ranks of d^k), each a dict keyed by cell (n, j) holding the
-    nonzero entries only. One recursion pass serves every k; the oracle
-    shares nothing with it but an engine of its own, and evaluates every k,
-    so it also checks where the recursion stopped."""
-    if max_k < 1:
-        raise InputError("max_k must be >= 1")
+def _counted_pages(c: FilteredComplex, max_k: int | None) -> tuple[_Pages, int]:
+    """The page sequence of c and the number of pages to read: max_k, checked
+    before the _Engine is built, or for None the bound the _Engine checks."""
+    if max_k is not None and not 1 <= max_k <= MAX_STABILIZATION_BOUND:
+        raise InputError("max_k must be >= 1" if max_k < 1 else f"max_k must be <= {MAX_STABILIZATION_BOUND}")
     pages = _Pages(c)
+    return pages, pages.eng.bound if max_k is None else max_k
+
+
+def oracle_comparison(c: FilteredComplex, max_k: int | None = None):
+    """Per k = 1..max_k (default: the stabilization bound): (k, recursion
+    dims, oracle dims, recursion ranks of d^k, oracle ranks of d^k), each a
+    dict keyed by cell (n, j) holding the nonzero entries only. One recursion
+    pass serves every k; the oracle shares nothing with it but an engine of
+    its own, and evaluates every k, so it also checks where the recursion
+    stopped."""
+    pages, count = _counted_pages(c, max_k)
     sig = pages.eng.sig
     oracle_eng = _Engine(c)
     out = []
-    for k in range(1, max_k + 1):
+    for k in range(1, count + 1):
         fast = {(n, n % sig): d for n, d in pages.dims(k).items()}
         rank_fast = {(n, n % sig): r for n, r in pages.ranks(k).items() if r}
         slow = _oracle_page(oracle_eng, k).dims()
@@ -466,20 +478,18 @@ def oracle_comparison(c: FilteredComplex, max_k: int):
     return out
 
 
-def page_rows(c: FilteredComplex, max_k: int) -> list[tuple[int, int, int, int, int]]:
-    """(k, n, j, dim, rank of d^k) for every nonzero cell of E^1..E^max_k,
-    ordered by (k, n, j)."""
-    if max_k < 1:
-        raise InputError("max_k must be >= 1")
-    pages = _Pages(c)
+def page_rows(c: FilteredComplex, max_k: int | None = None) -> list[tuple[int, int, int, int, int]]:
+    """(k, n, j, dim, rank of d^k) for every nonzero cell of E^1..E^max_k
+    (default: the stabilization bound), ordered by (k, n, j)."""
+    pages, count = _counted_pages(c, max_k)
     rows = []
-    for k in range(1, max_k + 1):
+    for k in range(1, count + 1):
         ranks = pages.ranks(k)
         rows.extend((k, n, n % pages.eng.sig, d, ranks[n]) for n, d in pages.dims(k).items())
     return rows
 
 
-def pages_tsv(c: FilteredComplex, max_k: int) -> str:
+def pages_tsv(c: FilteredComplex, max_k: int | None = None) -> str:
     """TSV page dump: one row per nonzero cell, ordered by (k, n, j)."""
     lines = ["k\tn\tj\tdim\trank_dk"]
     lines.extend("\t".join(map(str, row)) for row in page_rows(c, max_k))

@@ -551,7 +551,7 @@ def test_oracle_max_k_zero_exits_2(capsys, torus_file):
 
 
 @pytest.mark.parametrize("verb", ["pages", "oracle"])
-@pytest.mark.parametrize("max_k", [cli.MAX_K + 1, 10**9])
+@pytest.mark.parametrize("max_k", [spectral.MAX_STABILIZATION_BOUND + 1, 10**9])
 def test_explicit_max_k_budget_exits_2_before_any_page(capsys, monkeypatch, torus_file, verb, max_k):
     def computed(c):
         pytest.fail("a page was computed for a --max-k past the budget")
@@ -559,9 +559,12 @@ def test_explicit_max_k_budget_exits_2_before_any_page(capsys, monkeypatch, toru
     monkeypatch.setattr(spectral, "_Engine", computed)
     code, out, err = run_cli(capsys, verb, torus_file, "--max-k", str(max_k))
     assert code == 2 and out == ""
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        f"error: --max-k must be <= {cli.MAX_K}"
-    ]
+    refused = f"max_k must be <= {spectral.MAX_STABILIZATION_BOUND}"
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {refused}"]
+    readers = {"pages": (spectral.page_rows, spectral.pages_tsv), "oracle": (spectral.oracle_comparison,)}
+    for reader in readers[verb]:
+        with pytest.raises(complexes.InputError, match=refused):
+            reader(torus_complex(TorusSpec(m=2)), max_k)
 
 
 @pytest.mark.parametrize(

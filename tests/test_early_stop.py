@@ -25,7 +25,9 @@ from filtcoh.spectral import (
     _differential_matrices,
     _initial_state,
     k_stable,
+    oracle_comparison,
     page_dims,
+    page_rows,
     pages_tsv,
     stabilization_bound,
 )
@@ -214,6 +216,16 @@ def test_degenerate_matches_the_walk_over_the_grade_span(sig, s, cells):
 def quantum_torus(m: int) -> FilteredComplex:
     spec = TorusSpec(m=m, lam=Fraction(2, 3), r=Fraction(1))
     return quantum_perturbed_torus(spec, parse_matching(quantum_matching(m), m))
+
+
+def test_page_readers_default_to_the_stabilization_bound():
+    q = quantum_torus(5)
+    bound = stabilization_bound(q)
+    assert bound == 20
+    assert page_rows(q) == page_rows(q, bound)
+    assert pages_tsv(q) == pages_tsv(q, bound)
+    assert oracle_comparison(q) == oracle_comparison(q, bound)
+    assert [row[0] for row in oracle_comparison(q)] == list(range(1, bound + 1))
 
 
 @pytest.fixture

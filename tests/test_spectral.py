@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from filtcoh.chain_maps import identity_map, induced_page_map
 from filtcoh.cohomology import hf_filtration, integer_graded_cohomology, zsigma_cohomology
 from filtcoh.complexes import build_complex
 from filtcoh.morse import QuantumEdge, TorusSpec, quantum_perturbed_torus, torus_complex
@@ -11,6 +12,7 @@ from filtcoh.spectral import (
     k_stable,
     oracle_differential_ranks,
     page,
+    page_dims,
     page_oracle,
     pages_tsv,
     stabilization_bound,
@@ -26,6 +28,16 @@ def test_page_index_must_be_positive():
         differential(c, 0)
     with pytest.raises(ValueError):
         page_oracle(c, -1)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [page, page_dims, differential, lambda c, k: induced_page_map(identity_map(c), k)],
+    ids=["page", "page_dims", "differential", "induced_page_map"],
+)
+def test_every_recursion_reader_refuses_page_zero(reader):
+    with pytest.raises(ValueError, match="^page index must be >= 1$"):
+        reader(torus_complex(TorusSpec(m=1)), 0)
 
 
 def test_zero_differential_pages_equal_counts():

@@ -300,6 +300,12 @@ def _load_path_file(path: str) -> maslov.LagrangianPath:
         and type(data["m"]) is int and type(data["closed"]) is bool and isinstance(data["samples"], list)
     ):
         raise ComplexFormatError('path file must be {"m": int, "closed": bool, "samples": [...]}')
+    for k, sample in enumerate(data["samples"]):
+        # bool is an int subclass, and numpy would also read "1" and null
+        if not (isinstance(sample, list) and all(
+            isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in sample
+        )):
+            raise ComplexFormatError(f"path file sample #{k} must be a list of lists of numbers")
     return maslov.LagrangianPath.from_samples(data["m"], data["samples"], data["closed"])
 
 

@@ -64,7 +64,7 @@ class LagrangianPath:
             raise FrameError("dimension must be >= 1")
         try:
             arrs = tuple(np.asarray(s, dtype=float) for s in samples)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FrameError(f"samples must be numeric frames: {exc}") from exc
         if len(arrs) < 2:
             raise FrameError("need at least two samples")

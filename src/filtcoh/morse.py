@@ -203,7 +203,7 @@ def parse_matching(data: dict, m: int) -> list[QuantumEdge]:
             raise ComplexFormatError(f"matching entry #{k} must have fields from, to, shift")
         src, dst, shift = item["from"], item["to"], item["shift"]
         for name, val in (("from", src), ("to", dst)):
-            if not (isinstance(val, list) and all(isinstance(x, int) for x in val)):
+            if not (isinstance(val, list) and all(type(x) is int for x in val)):
                 raise ComplexFormatError(f"matching entry #{k}: {name} must be a list of ints")
         if not isinstance(shift, int) or isinstance(shift, bool) or shift < 0:
             raise ComplexFormatError(f"matching entry #{k}: shift must be an integer >= 0")

@@ -628,6 +628,8 @@ class AudinReport:
     axioms: tuple[str, ...] = (
         "H^*(T^m; Z2) is nonzero for a compact Lagrangian embedding",
         "a displaceable Lagrangian has vanishing total Floer cohomology",
+        "partial sums: a stabilization index K >= 2 forces sum_{l <= K*Sigma - 1} (-1)^l C(m, l) = 0, "
+        "which page counting alone does not imply",
     )
 
     def as_dict(self) -> dict:

@@ -427,22 +427,24 @@ def oracle_differential_ranks(c: FilteredComplex, k: int) -> dict[tuple[int, int
     """rank of d^k out of each cell, from the formula presentation only."""
     if k < 1:
         raise InputError("differential index must be >= 1")
-    return _oracle_ranks(_Engine(c), k)
+    eng = _Engine(c)
+    return _oracle_ranks(eng, _oracle_page(eng, k))
 
 
-def _oracle_ranks(eng: _Engine, k: int) -> dict[tuple[int, int], int]:
+def _oracle_ranks(eng: _Engine, oracle_page: Page) -> dict[tuple[int, int], int]:
+    """rank of d^k out of each cell of the oracle page E^k."""
+    k = oracle_page.k
     deg = k * eng.sig + 1
     out = {}
-    for n in eng.grades:
-        z, d = _oracle_numerator_denominator(eng, n, k)
-        dim_cell, _ = subquotient(z, d)
-        if dim_cell == 0:
-            out[(n, n % eng.sig)] = 0
+    for key, cell in oracle_page.cells.items():
+        if cell.dim == 0:
+            out[key] = 0
             continue
-        _, d_target = _oracle_numerator_denominator(eng, n + deg, k)
+        z, d = _oracle_numerator_denominator(eng, cell.n, k)
+        _, d_target = _oracle_numerator_denominator(eng, cell.n + deg, k)
         kernel = preimage(eng.apply_delta, z, d_target)
         dim_kernel, _ = subquotient(kernel + d.intersection(z), d)
-        out[(n, n % eng.sig)] = dim_cell - dim_kernel
+        out[key] = cell.dim - dim_kernel
     return out
 
 
@@ -472,9 +474,9 @@ def oracle_comparison(c: FilteredComplex, max_k: int | None = None):
     for k in range(1, count + 1):
         fast = {(n, n % sig): d for n, d in pages.dims(k).items()}
         rank_fast = {(n, n % sig): r for n, r in pages.ranks(k).items() if r}
-        slow = _oracle_page(oracle_eng, k).dims()
-        rank_slow = {key: r for key, r in _oracle_ranks(oracle_eng, k).items() if r}
-        out.append((k, fast, slow, rank_fast, rank_slow))
+        slow_page = _oracle_page(oracle_eng, k)
+        rank_slow = {key: r for key, r in _oracle_ranks(oracle_eng, slow_page).items() if r}
+        out.append((k, fast, slow_page.dims(), rank_fast, rank_slow))
     return out
 
 

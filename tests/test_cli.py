@@ -282,6 +282,15 @@ def test_gen_quantum(capsys, tmp_path):
     assert len(c.edges) == 2
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_gen_quantum_refuses_boolean_generators(capsys, tmp_path, flag):
+    # true used to read as generator 1, and the file gave a complex with exit 0
+    matching = write_json(tmp_path, "matching.json", {"matching": [{"from": [flag], "to": [2, flag], "shift": 0}]})
+    code, out, err = run_cli(capsys, "gen", "torus", "--m", "2", "--quantum", matching)
+    assert code == 2 and out == ""
+    assert err == "error: matching entry #0: from must be a list of ints\n"
+
+
 def test_pipeline_subprocess():
     gen = subprocess.run(
         [sys.executable, "-m", "filtcoh.cli", "gen", "torus", "--m", "2"],
@@ -631,6 +640,10 @@ def test_mapcheck_loads_a_shared_path_once(capsys, monkeypatch, tmp_path, torus_
         {"samples": 5},  # used to exit 3 with a TypeError
         {"samples": [{"x": 1}, {"x": 2}]},  # used to exit 3 with a TypeError
         {"closed": "no"},  # used to read as closed and answer with exit 0
+        {"samples": [[[True], [False]], *HALF_TURN[1:]]},  # used to read as 1.0, 0.0 and answer 1
+        {"samples": [[["1"], [0]], *HALF_TURN[1:]]},  # used to read as 1.0 and answer 1
+        {"samples": [[[None], [0]], *HALF_TURN[1:]]},  # used to report a NaN entry
+        {"samples": [[[10**400], [0]], *HALF_TURN[1:]]},  # used to exit 3 with an OverflowError
     ],
 )
 def test_maslov_index_rejects_malformed_path_files(capsys, tmp_path, field):

@@ -317,3 +317,21 @@ def test_audin_report_serialization():
     assert all(set(c) <= {"Sigma", "status", "k"} for c in data["cases"])
     assert "resolution" in data
     assert "Sigma" in report.table()
+
+
+# Where page counting stops excluding an even period (README, "What `audin`
+# decides"): (1 + t)^m = sum_r (1 + t^(r*Sigma+1)) Q_r, r <= max(1, (m-1)//Sigma),
+# has no solution at m and one at m + 1.
+@pytest.mark.parametrize("sigma, m", [(4, 58), (6, 118), (2, 18)])
+def test_audin_counting_boundaries(sigma, m):
+    none = decomposition_search(LaurentPoly.binomial_power(m), sigma, max(1, (m - 1) // sigma))
+    assert none.witness is None and none.verify()
+    assert hall_violated(none.target.coeffs, sigma, none.k, none.certificate)
+    witness = decomposition_search(LaurentPoly.binomial_power(m + 1), sigma, max(1, m // sigma))
+    assert witness.witness is not None and witness.verify()
+
+
+def test_audin_axioms_name_the_partial_sum_premise():
+    report = audin_decide(60)
+    assert any(axiom.startswith("partial sums:") for axiom in report.axioms)
+    assert "axioms" not in report.as_dict() and "partial sums" not in report.table()

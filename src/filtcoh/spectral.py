@@ -159,11 +159,10 @@ class _Engine:
 # count, the stabilization bound, where every page computation builds its
 # _Engine, and an explicit max_k (`_counted_pages`). One wide grade gap makes
 # the bound huge. Every fixture in use lies below it (quantum T^9: 376). At
-# the limit, `kl` and
-# `oracle` on two generators at grades 0 and 1000 with Sigma = 1, which stop
-# only at E^1000, take 0.20 s and 0.36 s (`filtcoh` subprocess wall time on a
-# 2-vCPU Xeon); the work per page grows with the complex, which this budget
-# does not bound.
+# the limit, `kl` and `oracle` on two generators at grades 0 and 1000 with
+# Sigma = 1, which stop only at E^1000, take 0.20 s and 0.36 s (`filtcoh`
+# subprocess wall time on a 2-vCPU Xeon); the work per page grows with the
+# complex, which this budget does not bound.
 MAX_STABILIZATION_BOUND = 1000
 
 

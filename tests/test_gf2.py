@@ -319,6 +319,89 @@ def test_kernel_basis_matches_brute_force():
         assert m.rank() == len(_canonical(_span(rows)))
 
 
+def _dense_product(a, b, k):
+    """The product of list-of-lists matrices a and b, b having k columns."""
+    return [[sum(a[i][t] & b[t][j] for t in range(len(b))) & 1 for j in range(k)] for i in range(len(a))]
+
+
+def _dense_rank(dense):
+    rows = [row[:] for row in dense]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                rows[i] = [x ^ y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _bits(values):
+    return sum(v << i for i, v in enumerate(values))
+
+
+def test_bit_matrix_matches_a_dense_reference():
+    """Every accessor of BitMatrix, built from entries and from columns,
+    against a list-of-lists matrix: dense[i][j] is entry (i, j)."""
+    rng = random.Random(21)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        dense = [[int(rng.random() < 0.4) for _ in range(cols)] for _ in range(rows)]
+        entries = [(i, j) for i in range(rows) for j in range(cols) if dense[i][j]]
+        dense_cols = [_bits(dense[i][j] for i in range(rows)) for j in range(cols)]
+        m = BitMatrix.from_entries(rows, cols, entries)
+        built = BitMatrix.from_columns(rows, dense_cols)
+        assert m == built and hash(m) == hash(built)
+        assert (m.rows, m.cols) == (built.rows, built.cols) == (rows, cols)
+        for mat in (m, built):
+            assert [mat.row(i) for i in range(rows)] == [_bits(dense[i]) for i in range(rows)]
+            assert [mat.column(j) for j in range(cols)] == dense_cols
+            assert mat.entries() == tuple(entries)
+            t = mat.transpose()
+            assert (t.rows, t.cols) == (cols, rows)
+            assert t.entries() == tuple(sorted((j, i) for i, j in entries))
+            assert t.transpose() == mat
+            assert mat.is_zero() == (not entries)
+            assert mat.rank() == _dense_rank(dense)
+        for _ in range(5):
+            v = [rng.randint(0, 1) for _ in range(cols)]
+            expected = _bits(row[0] for row in _dense_product(dense, [[x] for x in v], 1))
+            assert m.apply(_bits(v)) == expected == column_map(dense_cols)(_bits(v))
+        k = rng.randint(0, 9)
+        other = [[int(rng.random() < 0.4) for _ in range(k)] for _ in range(cols)]
+        right = BitMatrix.from_entries(cols, k, [(i, j) for i in range(cols) for j in range(k) if other[i][j]])
+        product = _dense_product(dense, other, k)
+        assert m @ right == BitMatrix.from_entries(
+            rows, k, [(i, j) for i in range(rows) for j in range(k) if product[i][j]]
+        )
+        same = [[int(rng.random() < 0.4) for _ in range(cols)] for _ in range(rows)]
+        total = BitMatrix.from_entries(rows, cols, [(i, j) for i in range(rows) for j in range(cols) if same[i][j]])
+        assert m + total == BitMatrix.from_entries(
+            rows, cols, [(i, j) for i in range(rows) for j in range(cols) if dense[i][j] ^ same[i][j]]
+        )
+        assert (m + m).is_zero() and m + m == BitMatrix.zeros(rows, cols)
+        if cols <= 8:
+            kernel = [
+                v for v in range(1 << cols)
+                if not any(sum(dense[i][j] & (v >> j) for j in range(cols)) & 1 for i in range(rows))
+            ]
+            assert m.kernel_basis().basis == built.kernel_basis().basis == _canonical(frozenset(kernel))
+        with pytest.raises(ValueError):
+            BitMatrix.from_entries(rows, cols, [(rows, 0)])
+        with pytest.raises(ValueError):
+            BitMatrix.from_entries(rows, cols, [(0, cols)])
+        with pytest.raises(ValueError):
+            BitMatrix.from_columns(rows, dense_cols + [1 << rows])
+        if rows and cols:
+            with pytest.raises(ValueError):
+                m @ BitMatrix.zeros(cols + 1, 1)
+            with pytest.raises(ValueError):
+                m + BitMatrix.zeros(rows, cols + 1)
+
+
 def test_span_solve_matches_brute_force():
     rng = random.Random(16)
     for _ in range(150):

@@ -10,6 +10,9 @@ Where the page recursion stops and how later pages are read is decided in
 ``spectral`` alone: other modules reach its private names only through the
 page sequence ``_Pages``.
 
+How a ``gf2.BitMatrix`` holds its entries is decided in ``gf2`` alone: no
+other module reads its storage.
+
 No module holds an ``assert`` statement: consistency checks raise, so
 that they hold under ``python -O`` too.
 
@@ -57,6 +60,28 @@ def test_module_reaches_spectral_privates_only_through_the_page_sequence(name):
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "spectral":
             reached.append(node.attr)
     assert [n for n in reached if n.startswith("_") and n != "_Pages"] == []
+
+
+# the private storage names BitMatrix has held: by rows, then by columns
+MATRIX_STORAGE = ("_rows", "_cols")
+
+
+def test_the_guard_names_the_matrix_storage():
+    from filtcoh.gf2 import BitMatrix
+
+    private = [s for s in BitMatrix.__slots__ if s.startswith("_")]
+    assert private and set(private) <= set(MATRIX_STORAGE)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "gf2"])
+def test_module_reads_no_matrix_storage(name):
+    tree = ast.parse(Path(importlib.import_module(f"filtcoh.{name}").__file__).read_text(encoding="utf-8"))
+    reads = [
+        f"{name}.py:{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in MATRIX_STORAGE
+    ]
+    assert reads == []
 
 
 @pytest.mark.parametrize("name", MODULES)

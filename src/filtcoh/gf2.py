@@ -1,6 +1,7 @@
 """Deterministic sparse/dense linear algebra over the two-element field.
 
-Vectors are Python ints used as bitsets: bit ``j`` is coordinate ``j``.
+Vectors are Python ints used as bitsets: bit ``j`` is coordinate ``j``. A
+``BitMatrix`` is held by its columns and applied through ``column_map``.
 All echelon forms pick the lowest-index available column as pivot, so every
 basis produced here is the canonical reduced row echelon basis of its span
 and is reproducible bit-for-bit across runs. Every elimination runs on one
@@ -15,11 +16,6 @@ from __future__ import annotations
 
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
-
-
-def _lsb(x: int) -> int:
-    """Index of the lowest set bit (x must be nonzero)."""
-    return (x & -x).bit_length() - 1
 
 
 def column_map(columns: Sequence[int]) -> Callable[[int], int]:
@@ -155,27 +151,26 @@ class Echelon:
 
 
 class BitMatrix:
-    """Matrix over GF(2); row ``i`` is an int whose bit ``j`` is entry (i, j)."""
+    """Matrix over GF(2) held by columns: column ``j`` is an int whose bit
+    ``i`` is entry (i, j). It is applied through ``column_map``."""
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_cols")
 
-    def __init__(self, rows: int, cols: int, row_bits: Optional[Sequence[int]] = None):
+    def __init__(self, rows: int, cols: int, columns: Optional[Sequence[int]] = None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = cols
-        data = list(row_bits) if row_bits is not None else [0] * rows
-        if len(data) != rows:
-            raise ValueError("row count mismatch")
-        mask = (1 << cols) - 1
-        for r in data:
-            if r & ~mask:
-                raise ValueError("entry position out of bounds")
-        self._rows = data
+        data = list(columns) if columns is not None else [0] * cols
+        if len(data) != cols:
+            raise ValueError("column count mismatch")
+        if any(c >> rows for c in data):
+            raise ValueError("entry position out of bounds")
+        self._cols = data
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> "BitMatrix":
-        data = [0] * rows
+        data = [0] * cols
         seen = set()
         for i, j in entries:
             if not (0 <= i < rows and 0 <= j < cols):
@@ -183,14 +178,14 @@ class BitMatrix:
             if (i, j) in seen:
                 raise ValueError(f"duplicate entry position ({i}, {j})")
             seen.add((i, j))
-            data[i] |= 1 << j
+            data[j] |= 1 << i
         return cls(rows, cols, data)
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[int]) -> "BitMatrix":
         if any(col >> rows for col in columns):
             raise ValueError("column vector out of bounds")
-        return cls(len(columns), rows, columns).transpose()
+        return cls(rows, len(columns), columns)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -201,76 +196,57 @@ class BitMatrix:
         return cls(rows, cols)
 
     def row(self, i: int) -> int:
-        return self._rows[i]
-
-    def entries(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for i, r in enumerate(self._rows):
-            while r:
-                j = _lsb(r)
-                r &= r - 1
-                out.append((i, j))
-        return tuple(out)
+        return sum(((c >> i) & 1) << j for j, c in enumerate(self._cols))
 
     def column(self, j: int) -> int:
-        v = 0
-        for i, r in enumerate(self._rows):
-            v |= ((r >> j) & 1) << i
-        return v
+        return self._cols[j]
+
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """The positions of the ones, row by row."""
+        return tuple((i, j) for i in range(self.rows) for j, c in enumerate(self._cols) if (c >> i) & 1)
 
     def transpose(self) -> "BitMatrix":
-        data = [0] * self.cols
-        for i, r in enumerate(self._rows):
-            while r:
-                j = _lsb(r)
-                r &= r - 1
-                data[j] |= 1 << i
-        return BitMatrix(self.cols, self.rows, data)
+        return BitMatrix(self.cols, self.rows, [self.row(i) for i in range(self.rows)])
 
     def apply(self, v: int) -> int:
         """Matrix-vector product M v; ``v`` over columns, result over rows."""
-        out = 0
-        for i, r in enumerate(self._rows):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
-        return out
+        return column_map(self._cols)(v)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        apply = column_map(other._rows)
-        return BitMatrix(self.rows, other.cols, [apply(r) for r in self._rows])
+        return BitMatrix(self.rows, other.cols, list(map(column_map(self._cols), other._cols)))
 
     def __add__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
-        return BitMatrix(self.rows, self.cols, [a ^ b for a, b in zip(self._rows, other._rows)])
+        return BitMatrix(self.rows, self.cols, [a ^ b for a, b in zip(self._cols, other._cols)])
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._rows == other._rows
+            and self._cols == other._cols
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self._rows)))
+        return hash((self.rows, self.cols, tuple(self._cols)))
 
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not any(self._cols)
 
     def rank(self) -> int:
-        ech = Echelon(self.cols)
-        for r in self._rows:
-            ech.add(r)
+        ech = Echelon(self.rows)
+        for c in self._cols:
+            ech.add(c)
         return ech.dim
 
     def kernel_basis(self) -> "Subspace":
         """Canonical basis of the right kernel {v : M v = 0}: the relations
         among the columns, found by inserting column j tagged ``1 << j``."""
         relations = Echelon(self.rows, track=True).relations(
-            zip(self.transpose()._rows, [1 << j for j in range(self.cols)])
+            zip(self._cols, [1 << j for j in range(self.cols)])
         )
         return Subspace.from_vectors(self.cols, relations)
 

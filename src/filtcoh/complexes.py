@@ -400,20 +400,22 @@ def associated_graded(c: FilteredComplex) -> list[tuple[int, GradedPiece, BitMat
     """
     members = c.grade_members()
     ids = [g.id for g in c.generators]
-    index = c._index()
+    shift0 = c.shift0_columns()
     out = []
     for n in c.occupied_grades():
         src = members[n]
-        dst = members.get(n + 1, [])
-        dst_pos = {gi: k for k, gi in enumerate(dst)}
-        src_pos = {gi: k for k, gi in enumerate(src)}
-        entries = []
-        for a, b in c.edges:
-            ia, ib = index[a], index[b]
-            if ia in src_pos and ib in dst_pos:
-                entries.append((dst_pos[ib], src_pos[ia]))
+        # the shift-0 images of the generators at n lie at grade n + 1
+        dst_pos = {gi: k for k, gi in enumerate(members.get(n + 1, []))}
+        columns = []
+        for gi in src:
+            v, col = shift0[gi], 0
+            while v:
+                low = v & -v
+                col |= 1 << dst_pos[low.bit_length() - 1]
+                v ^= low
+            columns.append(col)
         piece = GradedPiece(n, tuple(ids[i] for i in src))
-        out.append((n, piece, BitMatrix.from_entries(len(dst), len(src), entries)))
+        out.append((n, piece, BitMatrix.from_columns(len(dst_pos), columns)))
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from filtcoh.complexes import (
     ComplexFormatError,
     FilteredComplex,
+    GradedPiece,
     associated_graded,
     build_complex,
     parse_complex,
@@ -201,6 +202,21 @@ def test_associated_graded_keeps_shift0_drops_higher():
     pieces = {n: mat for n, _, mat in associated_graded(c)}
     assert pieces[0].rank() == 1  # a -> b survives
     assert pieces[1].is_zero() and pieces[3].is_zero()  # a -> c has shift 1
+
+
+def test_associated_graded_matrices_are_the_grade_one_edges(rng):
+    for _ in range(25):
+        c = random_complex(rng, max_gens=20)
+        pieces = associated_graded(c)
+        assert [n for n, _, _ in pieces] == list(c.occupied_grades())
+        for n, piece, mat in pieces:
+            src = [g.id for g in c.generators if g.maslov == n]
+            dst = [g.id for g in c.generators if g.maslov == n + 1]
+            assert piece == GradedPiece(n, tuple(src))
+            assert (mat.rows, mat.cols) == (len(dst), len(src))
+            assert sorted(mat.entries()) == sorted(
+                (dst.index(b), src.index(a)) for a, b in c.edges if a in src and b in dst
+            )
 
 
 def test_total_coboundary_raises_grade_by_one_plus_multiples(rng):

@@ -205,6 +205,11 @@ def parse_matching(data: dict, m: int) -> list[QuantumEdge]:
         for name, val in (("from", src), ("to", dst)):
             if not (isinstance(val, list) and all(type(x) is int for x in val)):
                 raise ComplexFormatError(f"matching entry #{k}: {name} must be a list of ints")
+            seen = set()
+            for x in val:
+                if x in seen:
+                    raise ComplexFormatError(f"matching entry #{k}: {name} names member {x} twice")
+                seen.add(x)
         if not isinstance(shift, int) or isinstance(shift, bool) or shift < 0:
             raise ComplexFormatError(f"matching entry #{k}: shift must be an integer >= 0")
         out.append(QuantumEdge(tuple(src), tuple(dst), shift))

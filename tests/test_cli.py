@@ -291,6 +291,15 @@ def test_gen_quantum_refuses_boolean_generators(capsys, tmp_path, flag):
     assert err == "error: matching entry #0: from must be a list of ints\n"
 
 
+@pytest.mark.parametrize("side, entry", [("from", {"from": [2, 2], "to": [1, 2]}), ("to", {"from": [1], "to": [2, 2]})])
+def test_gen_quantum_refuses_a_repeated_subset_member(capsys, tmp_path, side, entry):
+    # [2, 2] used to read as the subset {2}, and the file gave a complex with exit 0
+    matching = write_json(tmp_path, "matching.json", {"matching": [dict(entry, shift=0)]})
+    code, out, err = run_cli(capsys, "gen", "torus", "--m", "2", "--quantum", matching)
+    assert code == 2 and out == ""
+    assert err == f"error: matching entry #0: {side} names member 2 twice\n"
+
+
 def test_pipeline_subprocess():
     gen = subprocess.run(
         [sys.executable, "-m", "filtcoh.cli", "gen", "torus", "--m", "2"],

@@ -395,11 +395,10 @@ def test_bit_matrix_matches_a_dense_reference():
             BitMatrix.from_entries(rows, cols, [(0, cols)])
         with pytest.raises(ValueError):
             BitMatrix.from_columns(rows, dense_cols + [1 << rows])
-        if rows and cols:
-            with pytest.raises(ValueError):
-                m @ BitMatrix.zeros(cols + 1, 1)
-            with pytest.raises(ValueError):
-                m + BitMatrix.zeros(rows, cols + 1)
+        with pytest.raises(ValueError):
+            m @ BitMatrix.zeros(cols + 1, 1)
+        with pytest.raises(ValueError):
+            m + BitMatrix.zeros(rows, cols + 1)
 
 
 def test_span_solve_matches_brute_force():

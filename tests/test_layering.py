@@ -62,7 +62,7 @@ def test_module_reaches_spectral_privates_only_through_the_page_sequence(name):
     assert [n for n in reached if n.startswith("_") and n != "_Pages"] == []
 
 
-# the private storage names BitMatrix has held: by rows, then by columns
+# the storage of a BitMatrix, held by rows or by columns
 MATRIX_STORAGE = ("_rows", "_cols")
 
 
